@@ -10,15 +10,16 @@ now carries an array-native twin (``*_batch`` methods on
 :meth:`~repro.core.dimensioning.BufferDimensioner.require_batch`) that
 evaluates a whole grid in a handful of vectorised passes: the
 closed-form inverses directly, the exact sector-layout inverse as one
-sorted walk over subsector sizes.  Scalar and batch paths agree to
-float rounding (property-tested), and infeasible points map to ``inf``
-instead of raising — on a grid, infeasibility is a result.
+lockstep masked search over all targets at once.  Scalar and batch
+paths agree to float rounding (property-tested), and infeasible points
+map to ``inf`` instead of raising — on a grid, infeasibility is a
+result.
 
 This module adds the grid-level entry points the campaign runner's
 sweep sharding (:mod:`repro.runner.sharding`) imports by dotted path:
 one call evaluates one contiguous shard of a rate grid and returns
-plain per-point metrics, so a sharded million-point scan streams
-through the result store shard by shard.
+per-metric columns, so a sharded million-point scan streams through
+the result store shard by shard.
 """
 
 from __future__ import annotations
@@ -87,19 +88,19 @@ def evaluate_rate_grid(
     device: MEMSDeviceConfig | None = None,
     workload: WorkloadConfig | None = None,
     include_latency_floor: bool = True,
-) -> dict[str, list]:
+) -> dict[str, np.ndarray]:
     """Design-space metrics for a goal over a grid of streaming rates.
 
     The canonical shard target for
     :func:`~repro.runner.sharding.sharded_sweep_campaign`: importable by
-    dotted path, JSON-safe output, one vectorised pass regardless of
-    grid size.  Defaults reproduce the Figure 3a panel on the Table I
-    device and workload.
+    dotted path, one vectorised pass regardless of grid size.  Defaults
+    reproduce the Figure 3a panel on the Table I device and workload.
 
-    Returns per-metric lists aligned with ``rate_bps``:
-    ``required_buffer_bits`` / ``energy_buffer_bits`` (``inf`` where
-    infeasible), ``feasible`` (bools), and ``dominant`` (Figure 3
-    labels, ``"X"`` where infeasible).
+    Returns per-metric ndarrays aligned with ``rate_bps``, which the
+    columnar codec packs without a per-value scan:
+    ``required_buffer_bits`` / ``energy_buffer_bits`` (float64, ``inf``
+    where infeasible), ``feasible`` (bool), and ``dominant`` (Figure 3
+    labels as a string array, ``"X"`` where infeasible).
     """
     if device is None and workload is None:
         device, workload, dimensioner = _reference_stack(
@@ -118,12 +119,13 @@ def evaluate_rate_grid(
     )
     grid = np.atleast_1d(np.asarray(rate_bps, dtype=float))
     requirement = dimensioner.require_batch(goal, grid)
-    # The energy-only curve is the requirement's energy constraint row.
-    energy_buffers = requirement.buffer_for(Constraint.ENERGY)
+    # The energy-only curve is the requirement's energy constraint row,
+    # copied so the result does not pin the whole constraint matrix.
+    energy_buffers = requirement.buffer_for(Constraint.ENERGY).copy()
     return {
-        "required_buffer_bits": requirement.required_buffer_bits.tolist(),
-        "energy_buffer_bits": energy_buffers.tolist(),
-        "feasible": [bool(f) for f in requirement.feasible],
+        "required_buffer_bits": requirement.required_buffer_bits,
+        "energy_buffer_bits": energy_buffers,
+        "feasible": requirement.feasible,
         "dominant": requirement.labels(),
     }
 

@@ -195,13 +195,21 @@ class BatchRequirement:
         """One constraint's minimal-buffer curve over the grid (bits)."""
         return self.constraint_buffers[self.constraints.index(constraint)]
 
-    def labels(self) -> list[str]:
-        """Per-rate dominance label (``"X"`` where infeasible)."""
-        feasible = self.feasible
-        return [
-            self.constraints[index].value if feasible[i] else "X"
-            for i, index in enumerate(self.dominant_index)
-        ]
+    def labels(self) -> np.ndarray:
+        """Per-rate dominance label (``"X"`` where infeasible).
+
+        One-byte codes into the small label vocabulary, decoded in one
+        take.  The string width is that of the longest label present:
+        the dtype ``np.asarray`` gives the same labels as a list.
+        """
+        vocabulary = [constraint.value for constraint in self.constraints]
+        vocabulary.append("X")
+        codes = np.where(
+            self.feasible, self.dominant_index, len(self.constraints)
+        ).astype(np.uint8)
+        present = np.flatnonzero(np.bincount(codes, minlength=len(vocabulary)))
+        width = max((len(vocabulary[code]) for code in present), default=1)
+        return np.array(vocabulary, dtype=f"<U{width}")[codes]
 
     def requirement_at(self, index: int) -> BufferRequirement:
         """Rebuild the scalar :class:`BufferRequirement` for one column."""

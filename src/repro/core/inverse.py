@@ -276,8 +276,9 @@ class InverseSolver:
 
         The batch twin of :meth:`buffers_for_goal`: every constraint is
         evaluated in a handful of vectorised passes (the closed-form
-        inverses directly; the sector-layout inverse as one sorted
-        walk), with infeasible points mapping to ``inf``.
+        inverses directly; the sector-layout inverse as one lockstep
+        masked search over all targets), with infeasible points mapping
+        to ``inf``.
         """
         rates = np.atleast_1d(np.asarray(stream_rates_bps, dtype=float))
         results: dict[str, np.ndarray] = {}

@@ -268,7 +268,8 @@ class ProbesModel:
 
         Rates whose lifetime ceiling is below the target (the Lpb wall
         of Figure 3b) map to ``inf`` instead of raising; the exact
-        sector-layout inverse resolves the rest in one sorted pass.
+        sector-layout inverse resolves the rest in one lockstep masked
+        search over all targets.
         """
         if lifetime_years <= 0:
             raise ConfigurationError("lifetime must be > 0 years")

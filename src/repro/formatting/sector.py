@@ -371,9 +371,7 @@ class SectorLayout:
         """Smooth-envelope estimate of the subsector size ``target`` needs.
 
         The exact answer can only be >= this (ceilings never help), so
-        the inverse search starts here.  Monotone non-decreasing in the
-        target, which is what lets the batch inverse walk a sorted grid
-        of targets in one forward pass.
+        the inverse search starts here.
         """
         c = self.sync_bits_per_subsector
         if c == 0:
@@ -390,12 +388,11 @@ class SectorLayout:
         above the ECC supremum — or unreachable within the scalar
         search bound, which chunky ECC schemes can produce below it —
         map to ``inf`` (infeasibility is a result on a grid, not an
-        error).  Exactness is preserved: targets are
-        sorted and resolved in one forward walk over subsector sizes,
-        using the prefix property that within a subsector class a
-        smaller target is admitted whenever a larger one is — so every
-        point gets the same first-admitting subsector (and hence the
-        same answer, bit for bit) as the scalar search.
+        error).  Exactness is preserved: every target runs the scalar
+        search as one lane of a lockstep masked search, from the same
+        envelope start to the same bound, so each point gets the same
+        first-admitting subsector (and hence the same answer, bit for
+        bit) as the scalar search.
         """
         t = np.asarray(targets, dtype=float)
         flat = t.ravel()
@@ -404,47 +401,57 @@ class SectorLayout:
             return out.reshape(t.shape)
         if np.any(np.isnan(flat)) or not bool((flat > 0).all()):
             raise ConfigurationError("targets must be positive")
-        feasible = np.flatnonzero(flat < self.utilisation_supremum)
-        if feasible.size:
-            order = feasible[np.argsort(flat[feasible], kind="stable")]
-            self._resolve_sorted_targets(flat, order, out)
+        lanes = np.flatnonzero(flat < self.utilisation_supremum)
+        if lanes.size:
+            self._resolve_targets(flat, lanes, out)
         return out.reshape(t.shape)
 
-    def _resolve_sorted_targets(
-        self, targets: np.ndarray, order: np.ndarray, out: np.ndarray
+    def _resolve_targets(
+        self, targets: np.ndarray, lanes: np.ndarray, out: np.ndarray
     ) -> None:
-        """Resolve ``targets[order]`` (ascending) into ``out`` in place.
+        """Resolve ``targets[lanes]`` into ``out`` in place, in lockstep.
 
-        Walks subsector sizes upward once, resolving the prefix of
-        still-open targets each size admits; jumping to the next
-        target's envelope start skips only sizes the scalar search
-        would never have visited for any remaining target.
+        Each lane starts at its envelope start (the double arithmetic of
+        :meth:`_start_subsector`) and steps its subsector size ``s`` up
+        by one until ``s`` admits the target or passes the lane's scalar
+        search bound, where it stays ``inf``: the scalar path raises per
+        target (callers fold it to inf per point), and one chunky-ECC
+        target must not poison the rest of the grid.  ``su_max`` is
+        computed once per distinct ``s`` in play, by the scalar helper,
+        so every ECC scheme shares this one path.
         """
         c = self.sync_bits_per_subsector
         k = self.stripe_width
-        pos = 0
-        s = 0
-        while pos < order.size:
-            s = max(
-                s, self._start_subsector(float(targets[order[pos]])), c + 1
+        target = targets[lanes]
+        if c == 0:
+            start = np.ones(lanes.shape, dtype=np.int64)
+        else:
+            denominator = 1.0 - target * (1.0 + self.ecc.overhead_ratio())
+            # A target that rounds onto the supremum has no finite
+            # envelope start (the scalar search divides by zero).
+            reachable = denominator > 0
+            lanes, target = lanes[reachable], target[reachable]
+            start = np.maximum(
+                1 + c, np.floor(c / denominator[reachable]).astype(np.int64)
             )
-            su_max = self._max_user_bits_with_payload(k * (s - c))
-            while pos < order.size:
-                target = float(targets[order[pos]])
-                if s > max(self._start_subsector(target) * 4 + 64, 1024):
-                    # Past this target's scalar search bound without an
-                    # admitting subsector: the scalar path raises per
-                    # target (callers fold it to inf per point), so the
-                    # batch leaves inf and moves on — one chunky-ECC
-                    # target must not poison the rest of the grid.
-                    pos += 1
-                    continue
-                su_needed = math.ceil(target * k * s)
-                if su_max <= 0 or su_needed > su_max:
-                    break
-                out[order[pos]] = float(su_needed)
-                pos += 1
-            s += 1
+        bound = np.maximum(start * 4 + 64, 1024)
+        s = np.maximum(start, c + 1)
+        live = s <= bound
+        while live.any():
+            lanes, target, s, bound = (
+                lanes[live], target[live], s[live], bound[live]
+            )
+            sizes, slot = np.unique(s, return_inverse=True)
+            su_max = np.array(
+                [self._max_user_bits_with_payload(k * (int(size) - c))
+                 for size in sizes],
+                dtype=np.int64,
+            )[slot]
+            needed = np.ceil(target * k * s)
+            hit = (su_max > 0) & (needed <= su_max)
+            out[lanes[hit]] = needed[hit]
+            s = s + 1
+            live = ~hit & (s <= bound)
 
     def _max_user_bits_with_payload(self, payload_capacity: int) -> int:
         """Largest ``Su`` with ``Su + ecc_bits(Su) <= payload_capacity``."""

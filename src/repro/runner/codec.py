@@ -137,16 +137,25 @@ def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
             dispatch("codec_pack", column, _DTYPE_U1),
         )
     if kind == "U":
-        categories, codes = np.unique(column, return_inverse=True)
-        if categories.size <= 255:
+        # Categories in first-seen order, as the list branch numbers
+        # them, so a column packs to the same bytes either way.
+        unique, first, codes = np.unique(
+            column, return_index=True, return_inverse=True
+        )
+        if unique.size <= 255:
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
             return (
-                {"dtype": _DTYPE_U1, "categories": categories.tolist()},
-                dispatch("codec_pack", codes, _DTYPE_U1),
+                {"dtype": _DTYPE_U1, "categories": unique[order].tolist()},
+                dispatch("codec_pack", rank[codes], _DTYPE_U1),
             )
     return None
 
 
-def _pack_values(values: Sequence[Any]) -> tuple[dict[str, Any], bytes]:
+def _pack_values(
+    values: Sequence[Any] | np.ndarray,
+) -> tuple[dict[str, Any], bytes]:
     """Pack one column, choosing the tightest exact representation.
 
     Binary dtypes are used only when every value shares one Python
@@ -232,8 +241,8 @@ def _column_to_list(column: np.ndarray | list[Any]) -> list[Any]:
 
 
 def pack_series(
-    values: Sequence[Any],
-    series: Mapping[str, Sequence[Any]],
+    values: Sequence[Any] | np.ndarray,
+    series: Mapping[str, Sequence[Any] | np.ndarray],
     points_kind: str = KIND_MAPPING,
 ) -> dict[str, Any]:
     """Pack grid values plus per-metric series into a columnar payload.
@@ -309,7 +318,7 @@ def series_from_points(
 
 
 def pack_points(
-    values: Sequence[Any], points: Sequence[Any]
+    values: Sequence[Any] | np.ndarray, points: Sequence[Any]
 ) -> dict[str, Any] | None:
     """Pack a per-point list into a columnar payload (``None`` if ragged)."""
     if len(values) != len(points):

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 #: Job kinds understood by :func:`execute`.
@@ -282,7 +284,8 @@ def json_safe(value: Any) -> Any:
 
     Experiment results keep their id, title, headline scalars, notes,
     and rendered text; other dataclasses store their fields; tuples
-    become lists; anything else degrades to its ``repr``.  Lossy by
+    and numpy arrays become lists, numpy scalars their Python values;
+    anything else degrades to its ``repr``.  Lossy by
     design — the store holds the *findings* (headline scalars), not
     live model objects, and must never fail to persist a result that
     already succeeded.
@@ -308,6 +311,12 @@ def json_safe(value: Any) -> Any:
         return [json_safe(v) for v in value]
     if isinstance(value, set):
         return sorted(json_safe(v) for v in value)
+    if isinstance(value, np.generic):
+        return json_safe(value.item())
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biufU":
+            return value.tolist()  # already plain bools/ints/floats/strs
+        return json_safe(value.tolist())
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (bytes, bytearray)):

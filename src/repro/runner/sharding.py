@@ -156,12 +156,13 @@ def materialise_grid(grid: Mapping[str, Any]) -> np.ndarray:
 
 def shard_values(
     grid: Mapping[str, Any], shard_index: int, shard_count: int
-) -> list[float]:
+) -> np.ndarray:
     """One shard's contiguous slice of a grid descriptor's values.
 
     Slices the fully materialised grid with the same arithmetic as
     :func:`shard_grid`, so descriptor sweeps are value-for-value
-    identical to explicit-list sweeps of the same grid.
+    identical to explicit-list sweeps of the same grid.  Returns a
+    float64 copy of the slice, so the full grid is not kept alive.
     """
     if shard_count < 1:
         raise ConfigurationError(
@@ -175,7 +176,7 @@ def shard_values(
     count = len(full)
     lo = shard_index * count // shard_count
     hi = (shard_index + 1) * count // shard_count
-    return [float(v) for v in full[lo:hi]]
+    return full[lo:hi].copy()
 
 
 def _check_series(result: Mapping[str, Any], count: int) -> dict[str, Any]:
@@ -231,18 +232,19 @@ def evaluate_shard(
         raise ConfigurationError(
             "pass exactly one of values= or grid= to evaluate_shard"
         )
+    points_at: Sequence[Any] | np.ndarray
     if grid is not None:
         if shard_index is None or shard_count is None:
             raise ConfigurationError(
                 "grid descriptors need shard_index and shard_count"
             )
-        values = shard_values(grid, shard_index, shard_count)
+        points_at = shard_values(grid, shard_index, shard_count)
     else:
-        values = list(values)  # type: ignore[arg-type]
+        points_at = list(values)  # type: ignore[arg-type]
     chosen = check_codec(codec) if codec is not None else default_codec()
     func = resolve_callable(sweep_target)
     kwargs = dict(common or {})
-    count = len(values)
+    count = len(points_at)
     with span(
         "shard.evaluate",
         cat="sweep",
@@ -251,14 +253,14 @@ def evaluate_shard(
         shard=shard_index,
     ):
         return _evaluate_shard_points(
-            func, parameter, values, kwargs, batch, chosen, count
+            func, parameter, points_at, kwargs, batch, chosen, count
         )
 
 
 def _evaluate_shard_points(
     func: Any,
     parameter: str,
-    values: Sequence[Any],
+    values: Sequence[Any] | np.ndarray,
     kwargs: dict[str, Any],
     batch: bool,
     chosen: str,
@@ -293,6 +295,8 @@ def _evaluate_shard_points(
                 )
     else:
         points = []
+        if isinstance(values, np.ndarray):
+            values = values.tolist()  # targets see plain Python floats
         for value in values:
             try:
                 points.append(func(**{parameter: value}, **kwargs))

@@ -717,17 +717,8 @@ class CampaignServer:
         falls back to :func:`~repro.runner.sharding.collect_points`
         for stores merged with ``codec="json"`` (no block records).
         """
-        import numpy as np
-
         from ..runner import codec as _codec
         from ..runner.sharding import block_key
-
-        def listed(column: Any) -> list[Any]:
-            # json_safe degrades unknown types (ndarrays included) to
-            # repr; decode columns need a real element list.
-            if isinstance(column, np.ndarray):
-                return column.tolist()
-            return list(json_safe(column))
 
         campaign = build_campaign(spec, self.store_path, self.store_backend)
         shard_keys = [
@@ -765,10 +756,10 @@ class CampaignServer:
                 if lo >= size:
                     continue
                 hi = min(size, lo + (limit - len(values)))
-                values.extend(listed(block_values[lo:hi]))
+                values.extend(json_safe(block_values[lo:hi]))
                 for name, column in block_columns.items():
                     columns.setdefault(name, []).extend(
-                        listed(column[lo:hi])
+                        json_safe(column[lo:hi])
                     )
             if not values and done and seen == 0:
                 # No block records at all: legacy per-point store.

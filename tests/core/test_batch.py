@@ -22,7 +22,7 @@ from repro.core.dimensioning import BufferDimensioner
 from repro.core.energy import EnergyModel
 from repro.core.lifetime import LifetimeModel
 from repro.errors import ConfigurationError, InfeasibleDesignError
-from repro.formatting.ecc import FractionalECC
+from repro.formatting.ecc import FractionalECC, NoECC, ReedSolomonECC
 from repro.formatting.sector import SectorLayout
 
 DEVICE = ibm_mems_prototype()
@@ -174,27 +174,84 @@ class TestSectorAndCapacityParity:
         batch = layout.sector_bits_batch(np.asarray(user_bits))
         assert batch.tolist() == [layout.sector_bits(u) for u in user_bits]
 
+    # Every ECC scheme: the paper's fractional model, none, and the
+    # chunky Reed-Solomon parity whose su_max has no closed form.
+    any_ecc_layouts = st.builds(
+        SectorLayout,
+        stripe_width=st.integers(min_value=1, max_value=2048),
+        sync_bits_per_subsector=st.integers(min_value=0, max_value=8),
+        ecc=st.one_of(
+            st.builds(
+                FractionalECC,
+                numerator=st.integers(min_value=0, max_value=3),
+                denominator=st.integers(min_value=4, max_value=16),
+            ),
+            st.just(NoECC()),
+            st.builds(
+                ReedSolomonECC,
+                data_symbols=st.integers(min_value=16, max_value=223),
+                correctable=st.integers(min_value=0, max_value=16),
+            ),
+        ),
+    )
+
+    @staticmethod
+    def scalar_inverse(layout, target):
+        """The scalar oracle, with per-target infeasibility as ``inf``."""
+        if target > 1:
+            return math.inf  # outside (0, 1]: the scalar path rejects it
+        try:
+            return float(layout.min_user_bits_for_utilisation(target))
+        except InfeasibleDesignError:
+            return math.inf
+
     @given(
-        layouts,
+        any_ecc_layouts,
         st.lists(
             st.floats(min_value=1e-3, max_value=1.5),
             min_size=1,
-            max_size=30,
+            max_size=250,
         ),
+        st.randoms(use_true_random=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_inverse_batch_exact(self, layout, targets):
+    def test_inverse_batch_exact(self, layout, base, rng):
+        # Up to 500 targets, unsorted, with duplicates.
+        targets = base + [rng.choice(base) for _ in base]
+        rng.shuffle(targets)
         batch = layout.min_user_bits_for_utilisation_batch(
             np.asarray(targets)
         )
-        for target, got in zip(targets, batch):
-            if target >= layout.utilisation_supremum or target > 1:
-                assert math.isinf(got)
-            else:
-                # Bit-for-bit: same first-admitting subsector class.
-                assert got == float(
-                    layout.min_user_bits_for_utilisation(target)
-                )
+        # Bit-for-bit: same first-admitting subsector class.
+        assert batch.tolist() == [
+            self.scalar_inverse(layout, target) for target in targets
+        ]
+
+    def test_inverse_batch_exact_on_reference_grid(self, monkeypatch):
+        """The probe-lifetime targets of the 2000-point Figure 3 grid."""
+        from repro.runner.sharding import grid_descriptor, materialise_grid
+
+        rates = materialise_grid(
+            grid_descriptor("geomspace", 32e3, 4096e3, 2000)
+        )
+        probes = LifetimeModel(DEVICE, WORKLOAD).probes
+        layout = probes.capacity.layout
+        seen = []
+        batch_inverse = layout.min_user_bits_for_utilisation_batch
+
+        def spy(targets):
+            seen.append(np.array(targets))
+            return batch_inverse(targets)
+
+        monkeypatch.setattr(layout, "min_user_bits_for_utilisation_batch", spy)
+        probes.min_buffer_for_lifetime_batch(7.0, rates)
+        (targets,) = seen
+        assert targets.size == rates.size
+        batch = batch_inverse(targets)
+        assert np.isfinite(batch).any() and np.isinf(batch).any()
+        assert batch.tolist() == [
+            self.scalar_inverse(layout, float(target)) for target in targets
+        ]
 
     def test_chunky_ecc_unreachable_target_is_inf_not_error(self):
         """One unreachable target must not poison the rest of the grid.
@@ -221,6 +278,21 @@ class TestSectorAndCapacityParity:
             assert got == scalar
         assert math.isinf(batch[1])
         assert np.isfinite(batch[[0, 2, 3]]).all()
+
+    def test_target_admitted_exactly_at_the_search_bound(self):
+        """The search bound is inclusive, on both paths."""
+        layout = SectorLayout(
+            stripe_width=1, sync_bits_per_subsector=16, ecc=ReedSolomonECC()
+        )
+        # Its first admitting subsector is s = 1024, the scalar bound.
+        target = 0.7341291176470588
+        assert max(layout._start_subsector(target) * 4 + 64, 1024) == 1024
+        scalar = layout.min_user_bits_for_utilisation(target)
+        assert layout.subsector_bits(scalar) == 1024
+        batch = layout.min_user_bits_for_utilisation_batch(
+            np.array([target, 0.738])
+        )
+        assert batch.tolist() == [float(scalar), math.inf]
 
     def test_non_finite_buffers_rejected(self):
         model = CapacityModel(DEVICE)

@@ -37,6 +37,7 @@ from repro.runner.codec import (
     is_columnar,
     jsonable_bytes,
     pack_points,
+    pack_series,
     payload_kind,
     restore_bytes,
     unpack_columns,
@@ -196,6 +197,50 @@ class TestRoundTrip:
         assert columns["m"].dtype == np.float64
         assert columns["n"].dtype == np.int64
         assert np.array_equal(columns["m"], [0.5, 1.5, 2.5])
+
+
+class TestArrayColumns:
+    """Columns that arrive as ndarrays pack exactly like their lists."""
+
+    @given(
+        st.lists(
+            st.sampled_from(["C", "E", "X", "Lpb", "lat"]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_str_column_list_and_array_pack_identically(self, labels):
+        values = [float(i) for i in range(len(labels))]
+        from_list = pack_series(values, {"dominant": labels})
+        from_array = pack_series(
+            np.asarray(values), {"dominant": np.asarray(labels)}
+        )
+        assert from_array == from_list
+        # First-seen category order, not sorted order.
+        categories = from_list["columns"][0]["categories"]
+        assert categories == list(dict.fromkeys(labels))
+
+    def test_rate_grid_columns_are_typed_arrays(self):
+        from repro.core.batch import evaluate_rate_grid
+        from repro.runner.sharding import grid_descriptor, materialise_grid
+
+        rates = materialise_grid(
+            grid_descriptor("geomspace", 32e3, 4096e3, 2000)
+        )
+        columns = evaluate_rate_grid(rates)
+        dtypes = {name: column.dtype for name, column in columns.items()}
+        assert dtypes == {
+            "required_buffer_bits": np.dtype(np.float64),
+            "energy_buffer_bits": np.dtype(np.float64),
+            "feasible": np.dtype(bool),
+            "dominant": np.dtype("<U1"),
+        }
+        # The reference grid spans all three Figure 3 regions.
+        assert set(columns["dominant"].tolist()) == {"C", "E", "X"}
+        assert columns["dominant"].dtype == np.asarray(
+            columns["dominant"].tolist()
+        ).dtype
 
 
 class TestBytesAcrossBackends:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import ibm_mems_prototype
@@ -164,6 +166,49 @@ class TestJsonSafe:
         value = json_safe({"data": b"\x00\x01", "ba": bytearray(b"\x02")})
         assert value["data"] == b"\x00\x01"
         assert value["ba"] == b"\x02"
+
+
+    def test_numpy_values_store_values_not_reprs(self):
+        value = json_safe(
+            {
+                "flag": np.bool_(True),
+                "count": np.int64(3),
+                "ratio": np.float64(0.5),
+                "range": np.arange(3),
+                "labels": np.array(["C", "X"]),
+                "mask": np.array([True, False]),
+            }
+        )
+        assert value == {
+            "flag": True,
+            "count": 3,
+            "ratio": 0.5,
+            "range": [0, 1, 2],
+            "labels": ["C", "X"],
+            "mask": [True, False],
+        }
+        assert type(value["flag"]) is bool
+        assert type(value["count"]) is int
+        assert type(value["ratio"]) is float
+        assert all(type(v) is int for v in value["range"])
+
+    def test_plain_rate_grid_job_stores_values(self):
+        rates = [1e5, 1e6, 4e6]
+        spec = JobSpec(
+            "grid",
+            "callable",
+            "repro.core.batch:evaluate_rate_grid",
+            {"rate_bps": rates},
+        )
+        live = execute(spec)
+        stored = JobResult("grid", spec.key, STATUS_OK, live).to_record(spec)
+        assert stored["value"] == {
+            name: column.tolist() for name, column in live.items()
+        }
+        assert all(
+            type(flag) is bool for flag in stored["value"]["feasible"]
+        )
+        json.dumps(stored)  # plain JSON, no numpy objects left
 
 
 class TestJobResult:

@@ -20,7 +20,7 @@ from repro.runner import (
     sharded_sweep_campaign,
 )
 from repro.runner.codec import is_columnar, unpack_points
-from repro.runner.sharding import evaluate_shard, point_key
+from repro.runner.sharding import evaluate_shard, grid_descriptor, point_key
 
 
 def _payload_points(payload):
@@ -91,6 +91,23 @@ class TestEvaluateShard:
             TARGET_DSPACE, "rate_bps", GRID[:7], codec="json"
         )
         assert is_columnar(columnar) and not is_columnar(legacy)
+        assert _payload_points(columnar) == (
+            legacy["values"], legacy["points"]
+        )
+
+    def test_json_codec_grid_shard_stores_values(self):
+        """A descriptor shard's ndarray values store as plain floats."""
+        grid = grid_descriptor("geomspace", 32e3, 4096e3, 9)
+        legacy = evaluate_shard(
+            TARGET_DSPACE, "rate_bps", grid=grid, shard_index=1,
+            shard_count=2, codec="json",
+        )
+        columnar = evaluate_shard(
+            TARGET_DSPACE, "rate_bps", grid=grid, shard_index=1,
+            shard_count=2, codec="columnar",
+        )
+        assert all(type(v) is float for v in legacy["values"])
+        assert all(type(p["feasible"]) is bool for p in legacy["points"])
         assert _payload_points(columnar) == (
             legacy["values"], legacy["points"]
         )
@@ -203,8 +220,8 @@ class TestShardedSweepCampaign:
         whole = evaluate_rate_grid(GRID)
         assert [p["required_buffer_bits"] for p in points] == whole[
             "required_buffer_bits"
-        ]
-        assert [p["dominant"] for p in points] == whole["dominant"]
+        ].tolist()
+        assert [p["dominant"] for p in points] == whole["dominant"].tolist()
 
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
