@@ -17,6 +17,14 @@ module makes that assumption executable:
   of achieved lifetime (limited by the most-worn sector) to the ideal
   perfectly-balanced lifetime that Equation (6) assumes.
 
+A policy places a whole write sequence at once through
+:meth:`PlacementPolicy.apply`.  The base method is the reference
+per-write loop (``place`` then ``record_write``), so any subclass that
+only defines ``place`` works unchanged; the three built-in policies
+override it with exact array forms (a modulo, a floor-divided rotation
+offset, a water-fill) that place and record every write in one numpy
+pass, bit-identical to the loop.
+
 A streaming workload that records over the medium front-to-back is
 naturally balanced (efficiency ~1, vindicating the paper); a skewed
 file-system workload under direct placement is not, and the levelling
@@ -52,6 +60,21 @@ class SectorWearMap:
                 f"sector {physical_sector} outside 0..{self.sector_count - 1}"
             )
         self._writes[physical_sector] += 1
+
+    def record_many(self, physical_sectors: np.ndarray) -> None:
+        """Count one overwrite per entry of ``physical_sectors``.
+
+        Validates every sector before counting any, with the same error
+        :meth:`record_write` raises.
+        """
+        physical = np.asarray(physical_sectors, dtype=np.int64)
+        outside = (physical < 0) | (physical >= self.sector_count)
+        if outside.any():
+            raise ConfigurationError(
+                f"sector {int(physical[outside][0])} outside "
+                f"0..{self.sector_count - 1}"
+            )
+        self._writes += np.bincount(physical, minlength=self.sector_count)
 
     # -- statistics -----------------------------------------------------------
 
@@ -113,12 +136,43 @@ class PlacementPolicy(ABC):
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         """Physical sector to absorb a write of ``logical_sector``."""
 
+    def apply(
+        self, logical_writes: np.ndarray, wear: SectorWearMap
+    ) -> np.ndarray:
+        """Place and record a whole write sequence; return the placements.
+
+        The base method is the reference loop: :meth:`place` each write
+        in turn and record it on ``wear`` before placing the next.  The
+        built-in policies override it with an exact array form, so a
+        subclass of one of them that overrides :meth:`place` must also
+        override :meth:`apply` (or derive from :class:`PlacementPolicy`
+        directly) for its ``place`` to take effect.
+        """
+        physical = np.empty(len(logical_writes), dtype=np.int64)
+        for index, logical in enumerate(logical_writes):
+            sector = self.place(int(logical), wear)
+            wear.record_write(sector)
+            physical[index] = sector
+        return physical
+
+
+def _as_sectors(logical_writes: np.ndarray) -> np.ndarray:
+    """Logical writes as int64, truncated like the loop's ``int()``."""
+    return np.asarray(logical_writes).astype(np.int64, copy=False)
+
 
 class DirectPlacement(PlacementPolicy):
     """No levelling: logical address = physical address (baseline)."""
 
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         return logical_sector % self.sector_count
+
+    def apply(
+        self, logical_writes: np.ndarray, wear: SectorWearMap
+    ) -> np.ndarray:
+        physical = _as_sectors(logical_writes) % self.sector_count
+        wear.record_many(physical)
+        return physical
 
 
 class RotatingPlacement(PlacementPolicy):
@@ -145,6 +199,26 @@ class RotatingPlacement(PlacementPolicy):
             self._offset = (self._offset + 1) % self.sector_count
         return physical
 
+    def apply(
+        self, logical_writes: np.ndarray, wear: SectorWearMap
+    ) -> np.ndarray:
+        # Write i sees the offset advanced once per period boundary
+        # crossed since this call began.
+        logical = _as_sectors(logical_writes)
+        seen = self._writes_seen
+        turns = (
+            seen + np.arange(len(logical), dtype=np.int64)
+        ) // self.rotation_period - seen // self.rotation_period
+        physical = (logical + self._offset + turns) % self.sector_count
+        self._writes_seen = seen + len(logical)
+        self._offset = (
+            self._offset
+            + self._writes_seen // self.rotation_period
+            - seen // self.rotation_period
+        ) % self.sector_count
+        wear.record_many(physical)
+        return physical
+
 
 class LeastWornPlacement(PlacementPolicy):
     """Greedy optimum: always write the least-worn sector.
@@ -155,6 +229,35 @@ class LeastWornPlacement(PlacementPolicy):
 
     def place(self, logical_sector: int, wear: SectorWearMap) -> int:
         return int(np.argmin(wear._writes))
+
+    def apply(
+        self, logical_writes: np.ndarray, wear: SectorWearMap
+    ) -> np.ndarray:
+        # Water-fill: ``argmin`` takes the lowest index among the least
+        # worn, so each pass writes, in index order, every sector whose
+        # starting count is at or below the current level.  Once the
+        # level reaches the starting maximum that is every sector:
+        # plain round robin from sector 0.
+        total = len(logical_writes)
+        start = wear._writes
+        levels = np.unique(start)
+        passes: list[np.ndarray] = []
+        placed = 0
+        for level, next_level in zip(levels[:-1], levels[1:]):
+            if placed >= total:
+                break
+            sectors = np.flatnonzero(start <= level)
+            repeats = min(
+                int(next_level - level), -(-(total - placed) // len(sectors))
+            )
+            passes.append(np.tile(sectors, repeats))
+            placed += len(sectors) * repeats
+        passes.append(
+            np.arange(max(total - placed, 0), dtype=np.int64) % len(start)
+        )
+        physical = np.concatenate(passes)[:total]
+        wear.record_many(physical)
+        return physical
 
 
 @dataclass(frozen=True)
@@ -209,8 +312,7 @@ def simulate_wear(
 ) -> WearSimulationResult:
     """Drive a placement policy with a write sequence; report balance."""
     wear = SectorWearMap(policy.sector_count, write_cycle_rating)
-    for logical in logical_writes:
-        wear.record_write(policy.place(int(logical), wear))
+    policy.apply(logical_writes, wear)
     return WearSimulationResult(
         policy=type(policy).__name__,
         sector_count=policy.sector_count,

@@ -236,11 +236,7 @@ class CampaignResult:
         rows = []
         for job_id in self.order:
             result = self.results[job_id]
-            detail = (
-                result.error
-                if result.error
-                else f"{len(result.headline())} headline scalars"
-            )
+            detail = result.error or _detail(result)
             rows.append(
                 (
                     job_id,
@@ -271,6 +267,25 @@ class CampaignResult:
                 f"{self.cache_stats.get('misses', 0)} misses)"
             )
         return table.render() + "\n\n" + footer
+
+
+def _detail(result: JobResult) -> str:
+    """Summary-table detail of a succeeded job.
+
+    Sweep shard and merge payloads report their point count: a
+    columnar shard's ``count``, a legacy shard's ``len(values)``, a
+    merge result's ``points``.  Anything else reports its headline
+    scalars.
+    """
+    value = result.value
+    if isinstance(value, Mapping) and "parameter" in value:
+        if "count" in value:
+            return f"{value['count']} points"
+        if isinstance(value.get("points"), int):
+            return f"{value['points']} points"
+        if "values" in value:
+            return f"{len(value['values'])} points"
+    return f"{len(result.headline())} headline scalars"
 
 
 def run_campaign(

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.formatting.wear_leveling import (
     DirectPlacement,
     LeastWornPlacement,
+    PlacementPolicy,
     RotatingPlacement,
     SectorWearMap,
     simulate_wear,
@@ -18,6 +19,45 @@ from repro.formatting.wear_leveling import (
 )
 
 SECTORS = 64
+
+
+def loop_apply(policy, logical_writes, wear):
+    """The per-write reference: place, then record, one write at a time."""
+    physical = []
+    for logical in logical_writes:
+        physical.append(policy.place(int(logical), wear))
+        wear.record_write(physical[-1])
+    return np.array(physical, dtype=np.int64)
+
+
+class StrideOfThree(PlacementPolicy):
+    """A user policy with only ``place``: it takes the generic path."""
+
+    def place(self, logical_sector, wear):
+        return (3 * logical_sector + wear.total_writes) % self.sector_count
+
+
+class OffTheEnd(PlacementPolicy):
+    def place(self, logical_sector, wear):
+        return self.sector_count
+
+
+def workloads():
+    """(sector count, write sequence) pairs, skewed or sequential."""
+    return st.builds(
+        lambda sectors, writes, skew, seed: (
+            sectors,
+            zipf_write_workload(sectors, writes, skew=skew, seed=seed),
+        ),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=600),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+
+
+def assert_same_wear(batch, loop):
+    assert np.array_equal(batch._writes, loop._writes)
 
 
 class TestSectorWearMap:
@@ -150,3 +190,111 @@ class TestPolicies:
         ):
             result = simulate_wear(policy, writes)
             assert 0 < result.wear_efficiency <= 1.0
+
+
+class TestBatchParity:
+    """``apply`` places exactly what the per-write loop places."""
+
+    @given(workloads(), st.integers(min_value=1, max_value=50))
+    @settings(max_examples=60, deadline=None)
+    def test_builtin_policies_match_loop(self, workload, period):
+        sectors, writes = workload
+        for make in (
+            lambda: DirectPlacement(sectors),
+            lambda: RotatingPlacement(sectors, rotation_period=period),
+            lambda: LeastWornPlacement(sectors),
+        ):
+            batch_wear = SectorWearMap(sectors, 100)
+            loop_wear = SectorWearMap(sectors, 100)
+            placed = make().apply(writes, batch_wear)
+            assert placed.dtype == np.int64
+            assert np.array_equal(placed, loop_apply(make(), writes, loop_wear))
+            assert_same_wear(batch_wear, loop_wear)
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=50),
+        st.lists(
+            st.integers(min_value=0, max_value=300), min_size=2, max_size=3
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_state_carries_across_calls(
+        self, sectors, period, lengths, seed
+    ):
+        rng = np.random.default_rng(seed)
+        batch = RotatingPlacement(sectors, rotation_period=period)
+        loop = RotatingPlacement(sectors, rotation_period=period)
+        batch_wear = SectorWearMap(sectors, 100)
+        loop_wear = SectorWearMap(sectors, 100)
+        for length in lengths:
+            writes = rng.integers(0, sectors, size=length)
+            assert np.array_equal(
+                batch.apply(writes, batch_wear),
+                loop_apply(loop, writes, loop_wear),
+            )
+            assert batch._offset == loop._offset
+            assert batch._writes_seen == loop._writes_seen
+        assert_same_wear(batch_wear, loop_wear)
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=12), min_size=1, max_size=24
+        ),
+        st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_least_worn_water_fills_a_worn_map(self, start, total):
+        sectors = len(start)
+        batch_wear = SectorWearMap(sectors, 100)
+        loop_wear = SectorWearMap(sectors, 100)
+        for wear in (batch_wear, loop_wear):
+            wear._writes[:] = start
+        writes = np.zeros(total, dtype=np.int64)
+        assert np.array_equal(
+            LeastWornPlacement(sectors).apply(writes, batch_wear),
+            loop_apply(LeastWornPlacement(sectors), writes, loop_wear),
+        )
+        assert_same_wear(batch_wear, loop_wear)
+
+    @given(workloads())
+    @settings(max_examples=30, deadline=None)
+    def test_custom_policy_takes_the_generic_path(self, workload):
+        sectors, writes = workload
+        batch_wear = SectorWearMap(sectors, 100)
+        loop_wear = SectorWearMap(sectors, 100)
+        assert np.array_equal(
+            StrideOfThree(sectors).apply(writes, batch_wear),
+            loop_apply(StrideOfThree(sectors), writes, loop_wear),
+        )
+        assert_same_wear(batch_wear, loop_wear)
+        result = simulate_wear(StrideOfThree(sectors), writes)
+        assert result.policy == "StrideOfThree"
+        assert result.max_writes == loop_wear.max_writes
+
+    def test_custom_policy_out_of_range_raises(self):
+        with pytest.raises(ConfigurationError, match="outside 0..3"):
+            simulate_wear(OffTheEnd(4), np.arange(8))
+
+    def test_record_many_validates_before_counting(self):
+        wear = SectorWearMap(4, 100)
+        with pytest.raises(ConfigurationError, match="sector 4 outside"):
+            wear.record_many(np.array([0, 1, 4]))
+        with pytest.raises(ConfigurationError, match="sector -1 outside"):
+            wear.record_many(np.array([-1]))
+        assert wear.total_writes == 0
+        wear.record_many(np.array([3, 3, 0]))
+        assert wear.writes_to(3) == 2
+        assert wear.writes_to(0) == 1
+
+    def test_empty_sequence_records_nothing(self):
+        for policy in (
+            DirectPlacement(8),
+            RotatingPlacement(8, rotation_period=3),
+            LeastWornPlacement(8),
+            StrideOfThree(8),
+        ):
+            result = simulate_wear(policy, np.array([], dtype=np.int64))
+            assert result.total_writes == 0
+            assert result.wear_efficiency == 1.0

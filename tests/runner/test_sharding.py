@@ -223,6 +223,23 @@ class TestShardedSweepCampaign:
         ].tolist()
         assert [p["dominant"] for p in points] == whole["dominant"].tolist()
 
+    @pytest.mark.parametrize("codec", ["columnar", "json"])
+    def test_summary_reports_point_counts(self, tmp_path, codec):
+        store_path = str(tmp_path / "s.jsonl")
+        campaign = self._campaign(store_path, codec=codec)
+        for _ in range(2):  # fresh, then every job resolved from cache
+            text = run_campaign(campaign, store_path=store_path).summary()
+            rows = {
+                line.split()[0]: line.rstrip()
+                for line in text.splitlines()
+                if line.strip().startswith("sweep/")
+            }
+            assert len(rows) == 5
+            for index in range(4):
+                assert rows[f"sweep/shard{index:04d}"].endswith("10 points")
+            assert rows["sweep/merge"].endswith(f"{len(GRID)} points")
+            assert "headline scalars" not in text
+
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path):
         store_path = str(tmp_path / "s.sqlite")
         full = self._campaign(store_path)
