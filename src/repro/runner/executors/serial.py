@@ -2,10 +2,13 @@
 
 The serial backend is the debugging baseline — everything runs in the
 calling process, so breakpoints, profilers, and non-picklable specs
-all work.  The deadline watchdog is the one concession to resilience:
-an attempt that outlives its wall-clock budget is abandoned on its
-daemon thread (it cannot be killed, but it no longer blocks the
-campaign) and surfaces as :class:`~.base.DeadlineExceeded`.
+all work.  It is a capacity-1 backend like any other: the scheduler
+drives it through the same dispatch loop as the pool and fleet, and
+``submit`` simply runs the attempt before returning.  The deadline
+watchdog is the one concession to resilience: an attempt that outlives
+its wall-clock budget is abandoned on its daemon thread (it cannot be
+killed, but it no longer blocks the campaign) and comes back as a
+``timeout`` outcome.
 """
 
 from __future__ import annotations
@@ -71,8 +74,7 @@ class SerialExecutor(ExecutionBackend):
 
     ``submit`` executes the attempt before returning (there is nowhere
     to defer it to), so ``poll``/``collect`` simply hand the queued
-    outcome back.  The scheduler's serial fast path calls
-    :meth:`run_attempt` directly and keeps its own retry loop.
+    outcome back.
     """
 
     name = "serial"
@@ -85,19 +87,15 @@ class SerialExecutor(ExecutionBackend):
     def capacity(self) -> int:
         return 1
 
-    def run_attempt(
-        self, spec: JobSpec, attempt: int, deadline_s: float | None
-    ) -> tuple[Any, float, int]:
-        """One attempt now: ``(value, duration_s, pid)`` or raises."""
-        return run_attempt_with_deadline(spec, self._fn, deadline_s, attempt)
-
     def submit(
         self, spec: JobSpec, attempt: int, deadline_s: float | None
     ) -> str:
         self._seq += 1
         ticket = f"s{self._seq}"
         try:
-            value, duration, pid = self.run_attempt(spec, attempt, deadline_s)
+            value, duration, pid = run_attempt_with_deadline(
+                spec, self._fn, deadline_s, attempt
+            )
         except DeadlineExceeded:
             outcome = AttemptOutcome(
                 ticket, spec.job_id, attempt, OUTCOME_TIMEOUT,

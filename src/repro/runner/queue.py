@@ -20,22 +20,28 @@ delegates *mechanism* to an
   records, with lost-worker requeue and speculative straggler
   re-dispatch (see :mod:`repro.runner.executors.fleet`).
 
-All backends share the same bookkeeping, produce the same results, and
-schedule ready jobs in the stable order the specs were given, so a
-parallel campaign is a faithful — bit-identical — replay of the serial
-one.  A backend reporting an attempt *lost* (worker crash, broken
-pool, expired lease) emits ``lost``/``requeued`` events and the job
-re-runs under its retry budget — worker death is a recoverable event,
-not a run-fatal one.
+Every backend, serial included, is driven by one dispatch loop
+(``_run_dispatch``), the only place that owns retries, backoff windows,
+deadlines, cancellation and the cache cascade; the serial backend is a
+capacity-1 backend whose ``submit`` runs the attempt.  All backends
+share the same bookkeeping, produce the same results, and schedule
+ready jobs in the stable order the specs were given, so a parallel
+campaign is a faithful — bit-identical — replay of the serial one.  A
+backend reporting an attempt *lost* (worker crash, broken pool,
+expired lease) emits ``lost``/``requeued`` events and the job re-runs
+under its retry budget — worker death is a recoverable event, not a
+run-fatal one.
 
 Resilience: every attempt may carry a wall-clock **deadline**
 (``JobSpec.deadline_s``, or the ``REPRO_JOB_DEADLINE_S`` environment
 default) — an attempt that outlives it is abandoned, emits a
 ``timeout`` event, and is charged against the retry budget, so one
-hung job can never wedge a campaign.  Retries wait an exponentially
-growing, fully jittered **backoff** (``JobSpec.retry_backoff_s``),
-seedable per run for deterministic tests.  The scheduler also hosts
-the ``queue.attempt`` fault-injection site (:mod:`repro.faults`):
+hung job can never wedge a campaign.  Failed attempts retry after an
+exponentially growing, fully jittered **backoff**
+(``JobSpec.retry_backoff_s``), seedable per run for deterministic
+tests; a timed-out attempt retries at once, since a hung retry already
+pays the full deadline.  The scheduler also hosts the
+``queue.attempt`` fault-injection site (:mod:`repro.faults`):
 ``run_jobs(..., faults=...)`` activates a plan for the run, exported
 to worker processes through the environment.
 
@@ -81,18 +87,14 @@ from .events import (
     JobEvent,
 )
 from .executors.base import (
-    KIND_SERIAL,
     OUTCOME_LOST,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
     AttemptOutcome,
-    DeadlineExceeded,
     ExecutionBackend,
     make_executor,
     resolve_executor_kind,
-    run_one_attempt,
 )
-from .executors.serial import SerialExecutor
 from .jobs import (
     STATUS_CACHED,
     STATUS_FAILED,
@@ -143,12 +145,6 @@ BACKOFF_CAP_S = 30.0
 #: How often the scheduler re-checks the cancellation probe while
 #: attempts are in flight, seconds.
 CANCEL_POLL_S = 0.25
-
-#: Backward-compatible alias; the class now lives with the backends.
-_DeadlineExceeded = DeadlineExceeded
-
-#: Backward-compatible alias for the attempt primitive.
-_attempt = run_one_attempt
 
 
 def _env_deadline() -> float | None:
@@ -264,6 +260,9 @@ class _Run:
         #: specs resolve as "cached" deterministically (and with the
         #: live value) whether the run is serial or parallel.
         self.done_by_key: dict[str, JobResult] = {}
+        #: Keys the external cache already answered "miss" for in this
+        #: run, so a spec waiting for a free slot is looked up once.
+        self.cache_missed: set[str] = set()
         self.total = len(self.order)
         for spec in self.order:
             self._event(EVENT_SCHEDULED, spec.job_id)
@@ -395,10 +394,11 @@ class _Run:
                 )
             )
             return True
-        if self.cache is None:
+        if self.cache is None or spec.key in self.cache_missed:
             return False
         hit = self.cache.lookup(spec)
         if hit is None:
+            self.cache_missed.add(spec.key)
             return False
         self.resolve(hit)
         return True
@@ -503,88 +503,10 @@ def run_jobs(
         )
         if not run.order:
             return {}
-        if backend is None and kind == KIND_SERIAL:
-            _run_serial(run, SerialExecutor(executor_fn=executor_fn))
-        elif isinstance(backend, SerialExecutor):
-            _run_serial(run, backend)
-        else:
-            if backend is None:
-                backend = make_executor(
-                    kind, jobs=jobs, executor_fn=executor_fn
-                )
-            _run_dispatch(run, backend)
+        if backend is None:
+            backend = make_executor(kind, jobs=jobs, executor_fn=executor_fn)
+        _run_dispatch(run, backend)
         return run.results
-
-
-def _execute_with_retries(
-    run: _Run, spec: JobSpec, backend: SerialExecutor
-) -> None:
-    """Serial path: attempt (with retries) and resolve one spec.
-
-    One counter (``attempt``) drives the loop, the events, and the
-    final result's ``attempts`` field — it can never disagree with
-    itself the way a loop index plus a recomputed ``retries + 1``
-    could.
-    """
-    error_text = ""
-    duration = 0.0
-    deadline = run.deadline_for(spec)
-    attempt = 0
-    while attempt <= spec.retries:
-        attempt += 1
-        run._event(EVENT_STARTED, spec.job_id, attempt=attempt)
-        try:
-            value, duration, pid = backend.run_attempt(
-                spec, attempt, deadline
-            )
-        except DeadlineExceeded:
-            error_text = run.timed_out(spec, attempt)
-        except Exception as error:  # noqa: BLE001 - jobs may raise anything
-            error_text = f"{type(error).__name__}: {error}"
-        else:
-            run.resolve(
-                JobResult(
-                    job_id=spec.job_id,
-                    key=spec.key,
-                    status=STATUS_OK,
-                    value=value,
-                    attempts=attempt,
-                    duration_s=duration,
-                    worker_pid=pid,
-                )
-            )
-            return
-        if attempt <= spec.retries:
-            run._event(
-                EVENT_RETRY, spec.job_id, attempt=attempt,
-                error=error_text,
-            )
-            delay = run.backoff_delay(spec, attempt)
-            if delay > 0:
-                time.sleep(delay)
-    run.resolve(
-        JobResult(
-            job_id=spec.job_id,
-            key=spec.key,
-            status=STATUS_FAILED,
-            error=error_text,
-            attempts=attempt,
-        )
-    )
-
-
-def _run_serial(run: _Run, backend: SerialExecutor) -> None:
-    for spec in run.order:
-        if run.cancelled():
-            run.skip_cancelled(spec)
-            continue
-        failed = run.failed_dep(spec)
-        if failed is not None:
-            run.skip(spec, failed)
-            continue
-        if run.from_cache(spec):
-            continue
-        _execute_with_retries(run, spec, backend)
 
 
 def _submit_ready(
@@ -750,7 +672,7 @@ def _dispatch_outcome(
 
 
 def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
-    """Drive one run over an asynchronous execution backend.
+    """Drive one run over an execution backend, serial included.
 
     The loop: dispatch every runnable spec (capacity-capped), poll the
     backend for finished attempts, apply retry/requeue policy, repeat.
@@ -787,16 +709,22 @@ def _run_dispatch(run: _Run, backend: ExecutionBackend) -> None:
                 # spec is inside a backoff window (dep-blocked specs
                 # need in-flight work to unblock, which there is none
                 # of).  Sleep the shortest window out.
-                waits = [
-                    not_before[spec.job_id] - time.monotonic()
+                windows = [
+                    not_before[spec.job_id]
                     for spec in pending
                     if spec.job_id in not_before
                 ]
-                if not waits:
+                if not windows:
                     return
-                pause = max(0.0, min(waits))
+                wake = min(windows)
+                pause = wake - time.monotonic()
                 if pause > 0:
                     time.sleep(pause)
+                # time.sleep waits at least ``pause``, so every window
+                # ending by ``wake`` is over: drop them rather than
+                # trust a fresh clock read to agree.
+                for job_id in [j for j, t in not_before.items() if t <= wake]:
+                    del not_before[job_id]
                 continue
             timeout: float | None = None
             if run.cancel is not None:

@@ -326,3 +326,37 @@ class TestCampaignCachePreload:
 
         with pytest.raises(ConfigurationError):
             run_campaign(Campaign("c"), cache_preload="bogus")
+
+
+class TestOneLookupPerSpec:
+    """A spec waiting for a worker slot is looked up once, not per pass."""
+
+    def test_serial_campaign(self, tmp_path):
+        from repro.runner import registry_campaign, run_campaign
+
+        ids = ["table1", "breakeven", "capacity-example",
+               "dram-negligible", "fig2a"]
+        result = run_campaign(
+            registry_campaign(ids), store_path=str(tmp_path / "r.jsonl")
+        )
+        assert result.ok
+        stats = result.cache_stats
+        assert stats["hits"] + stats["misses"] == len(ids)
+
+    def test_pool_sweep(self, tmp_path):
+        from repro.runner import run_sharded_sweep
+
+        result = run_sharded_sweep(
+            "sweep",
+            "repro.core.batch:break_even_curve",
+            "rate_bps",
+            [float(v) for v in range(32_000, 32_020)],
+            store_path=str(tmp_path / "s.sqlite"),
+            shards=4,
+            jobs=2,
+        )
+        assert result.ok
+        stats = result.cache_stats
+        # Four shards and the merge, each looked up exactly once.
+        assert len(result.results) == 5
+        assert stats["hits"] + stats["misses"] == 5

@@ -147,6 +147,38 @@ class TestSerialExecution:
         assert run_jobs([]) == {}
 
 
+class TestSerialCancellation:
+    def test_cancel_after_first_job_skips_the_rest(self):
+        import threading
+        from collections import Counter
+
+        from repro.runner.events import TERMINAL_EVENTS
+
+        stop = threading.Event()
+        events = []
+
+        def observer(event):
+            events.append(event)
+            if event.kind == "finished":
+                stop.set()
+
+        specs = [callable_spec(f"j{i}", "square", x=i) for i in range(4)]
+        specs.append(callable_spec("dep", "add", after=("j0",), a=1, b=1))
+        results = run_jobs(
+            specs, executor="serial", observers=[observer],
+            cancel=stop.is_set,
+        )
+        assert results["j0"].status == "ok"
+        for job_id in ("j1", "j2", "j3", "dep"):
+            assert results[job_id].status == "skipped", job_id
+            assert results[job_id].error == "cancelled", job_id
+        terminal = Counter(
+            event.job_id for event in events
+            if event.kind in TERMINAL_EVENTS
+        )
+        assert terminal == {spec.job_id: 1 for spec in specs}
+
+
 class TestEvents:
     def test_lifecycle_sequence(self):
         events: list[JobEvent] = []

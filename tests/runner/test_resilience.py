@@ -19,6 +19,22 @@ def sleepy_spec(job_id, delay_s, **kwargs):
     )
 
 
+@pytest.fixture
+def backoff_draws(monkeypatch):
+    """Every retry-backoff delay the scheduler draws, in order."""
+    from repro.runner import queue as queue_module
+
+    draws = []
+    draw = queue_module._backoff_delay
+
+    def recording_draw(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(queue_module, "_backoff_delay", recording_draw)
+    return draws
+
+
 class TestSpecValidation:
     def test_deadline_must_be_positive(self):
         for bad in (0.0, -1.0):
@@ -68,6 +84,22 @@ class TestSerialDeadline:
         kinds = [e.kind for e in events]
         assert kinds.count("timeout") == 2
         assert kinds[-1] == "failed"
+
+    def test_timeout_retries_without_backoff(self, backoff_draws):
+        from repro.telemetry import metrics, reset_telemetry
+
+        reset_telemetry()
+        results = run_jobs(
+            [sleepy_spec("hung", 30.0, deadline_s=0.1, retries=1,
+                         retry_backoff_s=5.0)],
+            backoff_seed=1,
+        )
+        assert results["hung"].status == "failed"
+        assert results["hung"].attempts == 2
+        # A hung retry already pays the full deadline: no jitter draw.
+        assert backoff_draws == []
+        assert metrics().histogram("queue.backoff_s") is None
+        reset_telemetry()
 
     def test_fast_job_unaffected_by_deadline(self):
         results = run_jobs([sleepy_spec("quick", 0.0, deadline_s=10.0)])
@@ -128,39 +160,50 @@ class TestPoolDeadline:
 
 
 class TestRetryBackoff:
-    def _sleeps(self, monkeypatch, seed):
-        """Recorded backoff sleeps of one all-failing retry run."""
+    @pytest.fixture
+    def run(self, backoff_draws, monkeypatch):
+        """Run one all-failing spec; its backoff draws and positive sleeps."""
         from repro.runner import queue as queue_module
 
-        recorded = []
-        monkeypatch.setattr(
-            queue_module.time, "sleep", recorded.append
-        )
         def executor(spec):
             raise RuntimeError("nope")
 
-        run_jobs(
-            [JobSpec("j", "callable", "m:f", retries=4,
-                     retry_backoff_s=0.05)],
-            executor=executor,
-            backoff_seed=seed,
-        )
-        # Other subsystems yield with time.sleep(0); only the jitter
-        # draws are positive.
-        return [s for s in recorded if s > 0]
+        def run_with_seed(seed):
+            backoff_draws.clear()
+            sleeps = []
+            monkeypatch.setattr(queue_module.time, "sleep", sleeps.append)
+            run_jobs(
+                [JobSpec("j", "callable", "m:f", retries=4,
+                         retry_backoff_s=0.05)],
+                executor=executor,
+                backoff_seed=seed,
+            )
+            # Other subsystems yield with time.sleep(0); only the
+            # backoff waits are positive.
+            return list(backoff_draws), [s for s in sleeps if s > 0]
 
-    def test_full_jitter_is_seed_deterministic(self, monkeypatch):
-        first = self._sleeps(monkeypatch, seed=7)
-        again = self._sleeps(monkeypatch, seed=7)
-        other = self._sleeps(monkeypatch, seed=8)
-        assert len(first) == 4  # one sleep per retry, none after FAILED
+        return run_with_seed
+
+    def test_full_jitter_is_seed_deterministic(self, run):
+        first, _ = run(seed=7)
+        again, _ = run(seed=7)
+        other, _ = run(seed=8)
+        assert len(first) == 4  # one draw per retry, none after FAILED
         assert first == again
         assert first != other
 
-    def test_delays_respect_the_exponential_envelope(self, monkeypatch):
-        delays = self._sleeps(monkeypatch, seed=3)
+    def test_delays_respect_the_exponential_envelope(self, run):
+        delays, _ = run(seed=3)
         for attempt, delay in enumerate(delays, start=1):
             assert 0.0 <= delay <= min(30.0, 0.05 * 2 ** (attempt - 1))
+
+    def test_one_sleep_per_draw_never_longer(self, run):
+        # The wait sleeps out what is left of the window, once: it
+        # must not spin when the (faked) sleep lets no time pass.
+        draws, sleeps = run(seed=3)
+        assert len(sleeps) == len(draws) == 4
+        for drawn, slept in zip(draws, sleeps):
+            assert 0.0 < slept <= drawn
 
     def test_zero_backoff_never_sleeps(self, monkeypatch):
         from repro.runner import queue as queue_module

@@ -62,18 +62,31 @@ class TestSerialParallelParity:
     def test_terminal_event_multisets_match(self):
         specs = [
             callable_spec(f"j{i}", "square", x=i) for i in range(6)
-        ] + [callable_spec("last", "add", after=("j0",), a=1, b=2)]
+        ] + [
+            callable_spec("last", "add", after=("j0",), a=1, b=2),
+            callable_spec("bad", "boom", retries=1),
+            callable_spec("orphan", "add", after=("bad",), a=1, b=1),
+            callable_spec("deep", "add", after=("last", "j5"), a=2, b=2),
+        ]
 
-        def terminal_counter(jobs):
+        def terminal_run(jobs):
             seen: list = []
-            run_jobs(specs, jobs=jobs, observers=[seen.append])
-            return Counter(
+            results = run_jobs(specs, jobs=jobs, observers=[seen.append])
+            terminal = Counter(
                 (event.kind, event.job_id)
                 for event in seen
                 if event.kind in TERMINAL_EVENTS
             )
+            attempts = {job_id: r.attempts for job_id, r in results.items()}
+            return terminal, attempts
 
-        assert terminal_counter(1) == terminal_counter(4)
+        serial, serial_attempts = terminal_run(1)
+        parallel, parallel_attempts = terminal_run(4)
+        assert serial == parallel
+        assert serial_attempts == parallel_attempts
+        assert serial[("failed", "bad")] == 1
+        assert serial[("skipped", "orphan")] == 1
+        assert serial_attempts["bad"] == 2
 
 
 class TestResultsUnchangedByTelemetry:

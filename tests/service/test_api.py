@@ -1,4 +1,4 @@
-"""Tests of the stable ``repro.api`` facade and its deprecation shims."""
+"""Tests of the stable ``repro.api`` facade."""
 
 from __future__ import annotations
 
@@ -70,18 +70,9 @@ class TestFacadeSurface:
 
 
 class TestDeprecatedExports:
-    def test_old_toplevel_names_warn_but_work(self):
-        from repro.runner import sharding
-
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            assert repro.run_sharded_sweep is sharding.run_sharded_sweep
-        with pytest.warns(
-            DeprecationWarning, match="repro.api.sweep_campaign"
-        ):
-            assert (
-                repro.sharded_sweep_campaign
-                is sharding.sharded_sweep_campaign
-            )
+    def test_old_toplevel_names_are_gone(self):
+        assert not hasattr(repro, "run_sharded_sweep")
+        assert not hasattr(repro, "sharded_sweep_campaign")
 
     def test_facade_aliases_do_not_warn(self):
         import warnings
