@@ -13,7 +13,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..config import DesignGoal, MEMSDeviceConfig, WorkloadConfig
 from ..errors import ConfigurationError, InfeasibleDesignError, SolverError
@@ -34,16 +33,18 @@ def invert_monotone(
     """Numerically invert a monotone function of the buffer size.
 
     Finds ``x`` in ``[lower, upper]`` with ``func(x) == target`` by root
-    bracketing and Brent's method.  The upper bound is expanded
-    geometrically (up to ``max_expansions`` doublings) if the target is not
-    yet bracketed — convenient for saving-style curves that approach their
-    supremum asymptotically.
+    bracketing and bisection.  The upper bound is expanded geometrically
+    (up to ``max_expansions`` doublings) if the target is not yet
+    bracketed — convenient for saving-style curves that approach their
+    supremum asymptotically.  Bisection stops once the bracket is no wider
+    than ``tolerance + 1e-12 * hi`` and returns its midpoint.
 
     Raises
     ------
     SolverError
         If the target cannot be bracketed (e.g. it exceeds the function's
-        supremum) or Brent's method fails to converge.
+        supremum), ``func`` returns NaN inside the bracket, or bisection
+        hits its iteration cap without converging.
     """
     if lower <= 0 or upper <= lower:
         raise ConfigurationError("need 0 < lower < upper")
@@ -69,11 +70,18 @@ def invert_monotone(
             f"{'below' if increasing else 'above'} it after "
             f"{max_expansions} expansions"
         )
-    try:
-        root = brentq(gap, lo, hi, xtol=tolerance, rtol=1e-12, maxiter=200)
-    except (ValueError, RuntimeError) as exc:  # pragma: no cover - defensive
-        raise SolverError(f"Brent solve failed: {exc}") from exc
-    return float(root)
+    for _ in range(200):  # a 1e-12 relative stop needs ~40 halvings
+        if math.isnan(gap_hi):
+            raise SolverError(f"f({hi:g}) is NaN while inverting {target!r}")
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tolerance + 1e-12 * hi:
+            return float(mid)
+        gap_mid = gap(mid)
+        if gap_mid < 0:
+            lo = mid
+        else:
+            hi, gap_hi = mid, gap_mid
+    raise SolverError(f"bisection did not converge on target {target!r}")
 
 
 class InverseSolver:

@@ -55,6 +55,62 @@ class TestInvertMonotone:
         with pytest.raises(ConfigurationError):
             invert_monotone(lambda x: x, 1.0, lower=2.0, upper=1.0)
 
+    @given(
+        st.floats(min_value=0.5, max_value=3.0),
+        st.floats(min_value=1e-3, max_value=1e6),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power_law_root_within_tolerance(self, p, root, increasing):
+        # f(x) = x**p (or its reciprocal, decreasing) has the analytic
+        # root x = target**(1/p); the bracket starts below it and must
+        # expand geometrically when the root lies above 1.
+        tolerance = 1e-9
+        q = p if increasing else -p
+        target = root**q
+        analytic = target ** (1.0 / q)
+        found = invert_monotone(
+            lambda x: x**q, target, lower=1e-4, upper=1.0,
+            increasing=increasing, tolerance=tolerance,
+        )
+        assert abs(found - analytic) <= tolerance + 1e-12 * analytic
+
+    @pytest.mark.parametrize(
+        "target, lower, upper",
+        [
+            (5000.0, 1.0, 2.0),  # expansion walks into the NaN region
+            (50.0, 1.0, 200.0),  # bracket's upper end already NaN
+            (90.0, 50.0, 95.0),  # first midpoint (72.5) NaN
+        ],
+    )
+    def test_nan_raises_instead_of_hanging(self, target, lower, upper):
+        def func(x):
+            if 70.0 < x < 80.0 or x > 100.0:
+                return math.nan
+            return x
+
+        with pytest.raises(SolverError, match="NaN"):
+            invert_monotone(func, target, lower=lower, upper=upper)
+
+    def test_call_count_stays_under_the_cap(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return x**3
+
+        # tolerance=0 leaves only the 1e-12 relative stop, which any
+        # bracket reaches in about log2(1e12) = 40 halvings: far below
+        # the cap of 200 that turns a runaway loop into SolverError.
+        root = invert_monotone(
+            func, 7.0**3, lower=1e-6, upper=1e-3, tolerance=0.0
+        )
+        assert root == pytest.approx(7.0, rel=1e-12)
+        expansions = 13  # 1e-3 * 2**13 = 8.192 is the first bound >= 7
+        assert calls[1 + expansions] == pytest.approx(8.192)
+        bisections = len(calls) - 2 - expansions
+        assert 0 < bisections <= 45
+
 
 class TestEnergyInverse:
     def test_closed_form_matches_numeric(self, solver):

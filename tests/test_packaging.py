@@ -1,9 +1,12 @@
-"""Packaging tells the truth: every third-party import is declared."""
+"""Packaging tells the truth: every third-party import is declared, and
+every declared runtime dependency is imported."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,32 +29,60 @@ def _imported_top_levels() -> set[str]:
     return names
 
 
-def _declared() -> set[str]:
-    project = tomllib.loads(
+def _project() -> dict:
+    return tomllib.loads(
         (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     )["project"]
-    requirements = list(project.get("dependencies", []))
-    for extra in project.get("optional-dependencies", {}).values():
-        requirements.extend(extra)
+
+
+def _names(requirements) -> set[str]:
     return {
         re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
         for req in requirements
     }
 
 
+def _declared() -> set[str]:
+    project = _project()
+    requirements = list(project.get("dependencies", []))
+    for extra in project.get("optional-dependencies", {}).values():
+        requirements.extend(extra)
+    return _names(requirements)
+
+
 def test_third_party_imports_are_declared():
+    imported = _imported_top_levels()
     third_party = {
         name
-        for name in _imported_top_levels()
+        for name in imported
         if name not in sys.stdlib_module_names and name != "repro"
     }
     assert "numpy" in third_party  # the scan sees the real imports
     assert third_party <= _declared(), third_party - _declared()
+    # ...and the reverse: a runtime dependency nothing imports is a lie
+    # too.  Optional extras (test tooling, the native tier) are exempt.
+    runtime = _names(_project().get("dependencies", []))
+    assert runtime <= imported, runtime - imported
+
+
+def test_import_and_numeric_inverse_load_no_scipy():
+    script = (
+        "import sys, repro\n"
+        "solver = repro.InverseSolver(\n"
+        "    repro.ibm_mems_prototype(), repro.table1_workload()\n"
+        ")\n"
+        "solver.buffer_for_energy_saving_numeric(0.7, 1_024_000.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout
 
 
 def test_readme_is_the_project_readme():
-    project = tomllib.loads(
-        (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    )["project"]
+    project = _project()
     assert project["readme"] == "README.md"
     assert (ROOT / project["readme"]).is_file()
