@@ -11,7 +11,6 @@ where an attempt runs and how its loss is detected.  See
 from .base import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_KINDS,
-    KIND_FLEET,
     KIND_POOL,
     KIND_SERIAL,
     OUTCOME_ERROR,
@@ -27,14 +26,12 @@ from .base import (
     resolve_executor_kind,
     run_one_attempt,
 )
-from .fleet import FleetExecutor
 from .pool import PoolExecutor
 from .serial import SerialExecutor
 
 __all__ = [
     "EXECUTOR_ENV_VAR",
     "EXECUTOR_KINDS",
-    "KIND_FLEET",
     "KIND_POOL",
     "KIND_SERIAL",
     "OUTCOME_ERROR",
@@ -45,7 +42,6 @@ __all__ = [
     "DeadlineExceeded",
     "ExecutionBackend",
     "ExecutorFn",
-    "FleetExecutor",
     "PoolExecutor",
     "SerialExecutor",
     "WorkerInfo",

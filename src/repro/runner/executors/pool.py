@@ -5,7 +5,7 @@ used to be.  A worker dying hard (segfault, OOM kill) breaks the whole
 :class:`~concurrent.futures.ProcessPoolExecutor`, which poisons every
 in-flight future with :class:`BrokenProcessPool` — the culprit is
 indistinguishable from innocent co-flying jobs.  On breakage every
-in-flight attempt is reported *lost* (charged, forced requeue) and its
+in-flight attempt is reported *lost* (charged, always requeued) and its
 job marked a **suspect**: the next time the scheduler submits it, it
 runs alone on a fresh single-worker pool, where a broken pool can only
 mean this job killed its worker (a certain verdict, charged as an
@@ -17,10 +17,18 @@ Deadlines: a ticket's clock starts at submission.  Workers cannot be
 interrupted individually, so an expired running attempt evicts its
 whole pool (:func:`abandon_pool`); the expired attempt is reported as
 a timeout (charged), innocent co-flyers as uncharged losses.
+
+Orphans: a worker whose supervisor dies (``kill -9``, OOM) would
+otherwise live on — idle, or still appending an in-flight job's
+records to the store.  Each worker watches its parent pid from a
+daemon thread and exits once it changes (:func:`fence_orphan`), so a
+resumed campaign never races a zombie writer.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -65,6 +73,9 @@ NEVER_STARTED_ERROR = (
 #: Error text for innocents evicted alongside an expired attempt.
 EVICTED_ERROR = "pool replaced (deadline eviction); requeued"
 
+#: How often a worker checks that its supervisor is still alive, seconds.
+ORPHAN_POLL_S = 0.5
+
 
 def pool_attempt(
     spec: JobSpec, attempt: int = 0
@@ -89,14 +100,31 @@ def pool_custom_attempt(
     return value, duration, pid, telemetry_delta(marks)
 
 
-def warm_worker() -> None:
-    """Process-pool initializer: build the reference models once.
+def fence_orphan(parent_pid: int) -> None:
+    """Exit this worker once its parent is no longer ``parent_pid``.
 
-    Runs in each worker before its first job so sweep shards start
+    A dead supervisor's workers are re-parented, so a changed
+    ``getppid()`` is the signal; ``os._exit`` skips cleanup handlers
+    that could block on the dead parent's pipes.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def warm_worker() -> None:
+    """Process-pool initializer: fence orphans, build the models once.
+
+    Starts the :func:`fence_orphan` watcher, then builds the reference
+    models before the worker's first job so sweep shards start
     computing immediately instead of rebuilding the Table I config and
     model stack per call.  Warmup is best-effort — a failure here must
     never poison the pool, the job itself will surface any real error.
     """
+    threading.Thread(
+        target=fence_orphan, args=(os.getppid(),),
+        name="orphan-fence", daemon=True,
+    ).start()
     try:
         from ...core.batch import warm_reference_models
 
@@ -332,7 +360,6 @@ class PoolExecutor(ExecutionBackend):
                     AttemptOutcome(
                         tid, ticket.spec.job_id, ticket.attempt,
                         OUTCOME_LOST, error=BROKEN_POOL_ERROR,
-                        charge=True, requeue=True,
                     ),
                 )
             for tid in queued_behind:
@@ -342,7 +369,7 @@ class PoolExecutor(ExecutionBackend):
                     AttemptOutcome(
                         tid, ticket.spec.job_id, ticket.attempt,
                         OUTCOME_LOST, error=QUEUED_BEHIND_ERROR,
-                        charge=False, requeue=True,
+                        charge=False,
                     ),
                 )
         abandon_pool(pool)
@@ -392,7 +419,7 @@ class PoolExecutor(ExecutionBackend):
                         AttemptOutcome(
                             tid, ticket.spec.job_id, ticket.attempt,
                             OUTCOME_LOST, error=NEVER_STARTED_ERROR,
-                            charge=False, requeue=True,
+                            charge=False,
                         ),
                     )
                 elif tid in overdue:
@@ -409,7 +436,7 @@ class PoolExecutor(ExecutionBackend):
                         AttemptOutcome(
                             tid, ticket.spec.job_id, ticket.attempt,
                             OUTCOME_LOST, error=EVICTED_ERROR,
-                            charge=False, requeue=True,
+                            charge=False,
                         ),
                     )
             if pool is self._main:

@@ -3,7 +3,7 @@
 The serial backend is the debugging baseline — everything runs in the
 calling process, so breakpoints, profilers, and non-picklable specs
 all work.  It is a capacity-1 backend like any other: the scheduler
-drives it through the same dispatch loop as the pool and fleet, and
+drives it through the same dispatch loop as the pool, and
 ``submit`` simply runs the attempt before returning.  The deadline
 watchdog is the one concession to resilience: an attempt that outlives
 its wall-clock budget is abandoned on its daemon thread (it cannot be

@@ -44,13 +44,27 @@ _MAP_MARKER = "@map"
 _SEQ_MARKER = "@seq"
 
 
+def _is_frozen(value: Any) -> bool:
+    """Whether ``value`` is already a frozen mapping or sequence."""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and isinstance(value[0], str)
+        and value[0] in (_MAP_MARKER, _SEQ_MARKER)
+    )
+
+
 def freeze_params(value: Any) -> Any:
     """Recursively convert ``value`` into an immutable, picklable form.
 
     Mappings become sorted ``(@map, ((key, value), ...))`` tuples, lists
     and tuples become ``(@seq, (...))`` tuples, and scalars pass through.
+    Idempotent: an already-frozen value comes back unchanged, so
+    ``dataclasses.replace`` on a :class:`JobSpec` keeps its key.
     :func:`thaw_params` inverts the transformation.
     """
+    if _is_frozen(value):
+        return value
     if isinstance(value, Mapping):
         try:
             items = sorted(value.items())
@@ -74,13 +88,12 @@ def freeze_params(value: Any) -> Any:
 
 def thaw_params(value: Any) -> Any:
     """Invert :func:`freeze_params` (mappings back to dicts, seqs to lists)."""
-    if isinstance(value, tuple) and len(value) == 2:
-        marker, payload = value
-        if marker == _MAP_MARKER:
-            return {k: thaw_params(v) for k, v in payload}
-        if marker == _SEQ_MARKER:
-            return [thaw_params(v) for v in payload]
-    return value
+    if not _is_frozen(value):
+        return value
+    marker, payload = value
+    if marker == _MAP_MARKER:
+        return {k: thaw_params(v) for k, v in payload}
+    return [thaw_params(v) for v in payload]
 
 
 def _jsonable(value: Any) -> Any:

@@ -54,6 +54,7 @@ from ..errors import ConfigurationError, ReproError
 from ..faults import ACTION_DROP, fault_site
 from ..runner.campaign import Campaign, run_campaign
 from ..runner.events import Event, EventBus, event_from_json, event_to_json
+from ..runner.executors import resolve_executor_kind
 from ..runner.jobs import json_safe
 from ..runner.sharding import (
     MERGE_TARGET,
@@ -243,8 +244,8 @@ class CampaignServer:
     jobs:
         Default worker processes per run (a spec's ``"jobs"`` wins).
     executor:
-        Default execution backend kind per run (``"serial"``,
-        ``"pool"``, or ``"fleet"``; a spec's ``"executor"`` wins).
+        Default execution backend kind per run (``"serial"`` or
+        ``"pool"``; a spec's ``"executor"`` wins).
         ``None`` resolves from ``REPRO_EXECUTOR`` then the jobs count.
     runs_dir:
         Directory of per-run event sidecars
@@ -491,6 +492,12 @@ class CampaignServer:
             return protocol.json_error(400, "body must be a JSON object")
         # Validate eagerly: a bad spec fails the POST, not the run.
         build_campaign(spec, self.store_path, self.store_backend)
+        jobs = spec.get("jobs", self.jobs)
+        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+            raise ConfigurationError(
+                f"'jobs' must be an integer >= 1, got {jobs!r}"
+            )
+        resolve_executor_kind(spec.get("executor", self.executor), jobs)
         run_id = new_service_run_id()
         run = _RunState(
             run_id=run_id,
@@ -605,7 +612,7 @@ class CampaignServer:
                 bus.subscribe(bridge)
                 result = run_campaign(
                     campaign,
-                    jobs=int(run.spec.get("jobs", self.jobs)),
+                    jobs=run.spec.get("jobs", self.jobs),
                     store_path=self.store_path,
                     store_backend=self.store_backend,
                     cache_preload="specs",

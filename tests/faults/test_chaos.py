@@ -16,6 +16,8 @@ silently differs, or a store scan that crashes on quarantined damage.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +25,13 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.faults import FaultPlan, InjectedFault, reset
 from repro.runner import (
+    Campaign,
     ResultStore,
     collect_points,
     run_campaign,
     run_jobs,
     sharded_sweep_campaign,
 )
-from repro.runner.executors.fleet import TERMINAL_LEASE_STATES
 from repro.runner.integrity import damage_total
 from repro.runner.jobs import JobSpec
 
@@ -112,10 +114,10 @@ class TestChaosProperty:
         assert damage_total(stats) >= 0
 
 
-#: Fault shapes a fleet is expected to survive (or report loudly):
-#: hard worker crashes, dropped heartbeats/lease writes, hung beats,
-#: and dispatch failures in the supervisor itself.
-_fleet_rules = st.lists(
+#: Worker-loss shapes the pool must survive (or report loudly): a hard
+#: crash on a shard's or the merge's first attempt, and a hang that
+#: outlives the per-spec deadline (timeout, evict, retry).
+_pool_rules = st.lists(
     st.one_of(
         st.fixed_dictionaries(
             {
@@ -128,26 +130,12 @@ _fleet_rules = st.lists(
         ),
         st.fixed_dictionaries(
             {
-                "site": st.sampled_from(
-                    ["worker.heartbeat", "lease.renew"]
-                ),
-                "action": st.just("drop"),
-                "times": st.integers(min_value=1, max_value=50),
-            }
-        ),
-        st.fixed_dictionaries(
-            {
-                "site": st.just("worker.heartbeat"),
+                "site": st.just("queue.attempt"),
                 "action": st.just("hang"),
-                "seconds": st.floats(min_value=0.05, max_value=0.4),
-                "times": st.integers(min_value=1, max_value=2),
-            }
-        ),
-        st.fixed_dictionaries(
-            {
-                "site": st.just("executor.dispatch"),
-                "action": st.just("raise"),
-                "nth": st.integers(min_value=1, max_value=3),
+                "seconds": st.floats(min_value=1.5, max_value=3.0),
+                "job_id": st.sampled_from(
+                    ["chaos/shard0000#1", "chaos/merge#1"]
+                ),
             }
         ),
     ),
@@ -156,40 +144,38 @@ _fleet_rules = st.lists(
 )
 
 
-def _terminal_lease_states(lease_path):
-    store = ResultStore(lease_path, backend="jsonl")
-    try:
-        view = store.latest_by_key("ok")
-    finally:
-        store.close()
-    return {
-        key: (record.get("value") or {}).get("state")
-        for key, record in view.items()
-    }
+def _with_deadline(campaign, deadline_s):
+    """The same campaign (same keys) with a per-spec deadline."""
+    return Campaign(
+        campaign.name,
+        [
+            dataclasses.replace(spec, deadline_s=deadline_s)
+            for spec in campaign.specs
+        ],
+    )
 
 
-class TestFleetChaosProperty:
-    @given(rules=_fleet_rules)
+class TestPoolChaosProperty:
+    @given(rules=_pool_rules)
     @settings(max_examples=5, deadline=None)
-    def test_fleet_converges_bit_exact_or_fails_loudly(
+    def test_pool_converges_bit_exact_or_fails_loudly(
         self, rules, baseline, tmp_path_factory
     ):
-        """The pool chaos contract, re-proven over the fleet backend.
+        """The chaos contract over worker loss on a two-worker pool.
 
-        Random worker crash/heartbeat-drop/hang/dispatch-failure plans
-        over a real sharded sweep must either converge bit-exact
-        against the undisturbed baseline or fail loudly — and in both
-        cases every lease in the transcript must end terminal and the
-        main store must scan clean.
+        Random crash/hang plans over a real sharded sweep with a 1 s
+        per-spec deadline must either converge bit-exact against the
+        undisturbed baseline or fail loudly, and the store must scan
+        clean either way.
         """
         reset()
-        store_path = str(tmp_path_factory.mktemp("fchaos") / "s.jsonl")
-        campaign = _sweep(store_path)
+        store_path = str(tmp_path_factory.mktemp("pchaos") / "s.jsonl")
+        campaign = _with_deadline(_sweep(store_path), 1.0)
         plan = FaultPlan.from_json({"rules": rules})
         try:
             result = run_campaign(
                 campaign, store_path=store_path, jobs=2,
-                executor="fleet", faults=plan,
+                executor="pool", faults=plan,
             )
         except (InjectedFault, ReproError):
             result = None  # loud is allowed; silent wrongness is not
@@ -202,15 +188,12 @@ class TestFleetChaosProperty:
                 assert result.failures
                 for job_id in result.failures:
                     assert result.results[job_id].error
-        lease_path = store_path + ".fleet/leases.jsonl"
-        for key, state in _terminal_lease_states(lease_path).items():
-            assert state in TERMINAL_LEASE_STATES, (key, state)
         store = ResultStore(store_path)
         try:
             stats = store.verify()
         finally:
             store.close()
-        assert damage_total(stats) >= 0
+        assert damage_total(stats) == 0
 
 
 class TestCannedScenarios:
@@ -261,15 +244,15 @@ class TestCannedScenarios:
         assert results["c1"].attempts == 2
         assert results["c2"].status == "ok" and results["c2"].value == 7
 
-    def test_fleet_worker_kill_converges_with_clean_leases(
+    def test_shard_worker_kill_converges_bit_exact(
         self, tmp_path, baseline
     ):
-        """A shard worker dies hard mid-sweep; the fleet recovers.
+        """A shard worker dies hard mid-sweep; the pool recovers.
 
         The crashed attempt emits lost/requeued, the retry runs on a
-        fresh worker, the merged points stay bit-exact, every lease
-        ends terminal, and the store verifies clean — a kill -9'd
-        worker never loses or duplicates a result.
+        fresh worker, the merged points stay bit-exact, and the store
+        verifies clean — a kill -9'd worker never loses or duplicates
+        a result.
         """
         store_path = str(tmp_path / "s.jsonl")
         campaign = _sweep(store_path)
@@ -281,7 +264,7 @@ class TestCannedScenarios:
         }
         events = []
         result = run_campaign(
-            campaign, store_path=store_path, jobs=2, executor="fleet",
+            campaign, store_path=store_path, jobs=2, executor="pool",
             faults=plan, observers=[events.append],
         )
         assert result.ok
@@ -292,9 +275,6 @@ class TestCannedScenarios:
         ]
         assert "lost" in kinds
         assert "requeued" in kinds
-        lease_path = store_path + ".fleet/leases.jsonl"
-        for key, state in _terminal_lease_states(lease_path).items():
-            assert state in TERMINAL_LEASE_STATES, (key, state)
         store = ResultStore(store_path)
         try:
             stats = store.verify()

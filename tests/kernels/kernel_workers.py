@@ -1,6 +1,6 @@
 """Importable job targets for kernel warm-path tests.
 
-Fleet workers resolve ``"kernel_workers:<name>"`` targets by import,
+Pool workers resolve ``"kernel_workers:<name>"`` targets by import,
 so everything here must stay module-level and deterministic.
 """
 
@@ -15,10 +15,3 @@ def kernel_cache_env():
 
     return os.environ.get(CACHE_DIR_ENV_VAR)
 
-
-def evaluate_small_grid():
-    """A tiny real batch: exercises every kernel inside the worker."""
-    from repro.core.batch import evaluate_rate_grid
-
-    result = evaluate_rate_grid([100_000.0, 250_000.0, 500_000.0])
-    return len(result["required_buffer_bits"])

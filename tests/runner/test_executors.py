@@ -1,16 +1,17 @@
-"""Execution backends: kind resolution, pool fairness, fleet leases.
+"""Execution backends: kind resolution, pool fairness, lost workers.
 
-The fleet tests exercise real worker subprocesses (spawned via
-``repro worker``), real lease transcripts, and real SIGKILLs — they are
-the repo's proof that a lost worker never loses or duplicates a
-result.
+The pool tests exercise real worker processes, real worker crashes and
+a real SIGKILL of the supervisor itself — the proof that a lost worker
+costs its job one attempt and nothing more, and that an orphaned
+worker never outlives its campaign.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import threading
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,24 +22,19 @@ from repro.runner.events import (
     EVENT_REQUEUED,
     EVENT_RETRY,
 )
+from repro.runner import collect_points, run_campaign
 from repro.runner.executors import (
     EXECUTOR_ENV_VAR,
-    FleetExecutor,
     PoolExecutor,
     SerialExecutor,
     make_executor,
     resolve_executor_kind,
 )
-from repro.runner.executors.fleet import (
-    TERMINAL_LEASE_STATES,
-    FleetExecutor as _FleetExecutor,
-)
+from repro.runner.integrity import damage_total
 from repro.runner.jobs import JobSpec
 from repro.runner.queue import run_jobs
+from repro.runner.sharding import sharded_sweep_campaign
 from repro.runner.store import ResultStore
-from repro.telemetry import metrics
-
-assert _FleetExecutor is FleetExecutor
 
 
 def _spec(job_id, target, retries=0, deadline_s=None, **params):
@@ -52,17 +48,45 @@ def _spec(job_id, target, retries=0, deadline_s=None, **params):
     )
 
 
-def _terminal_leases(lease_path):
-    """Latest lease state per key from a fleet transcript."""
-    store = ResultStore(lease_path, backend="jsonl")
+def _alive(pid):
+    """Whether ``pid`` is a live (not dead, not zombie) process."""
     try:
-        view = store.latest_by_key("ok")
-    finally:
-        store.close()
-    return {
-        key: (record.get("value") or {}).get("state")
-        for key, record in view.items()
-    }
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+#: A supervisor whose merge attempt hangs in a pool worker.  It prints
+#: its pool's worker pids once the merge starts, then waits forever.
+_SUPERVISOR = """
+import sys
+from repro.runner import run_campaign, sharded_sweep_campaign
+from repro.runner.executors import PoolExecutor
+
+store_path = sys.argv[1]
+campaign = sharded_sweep_campaign(
+    "orphan", "runner_workers:array_curve", "values",
+    [float(v) for v in range(12)], store_path=store_path, shards=2,
+)
+backend = PoolExecutor(2)
+
+def announce(event):
+    if event.kind == "started" and event.job_id == "orphan/merge":
+        print(" ".join(str(w.pid) for w in backend.workers()), flush=True)
+
+run_campaign(
+    campaign, store_path=store_path, executor=backend,
+    observers=[announce],
+    faults={"rules": [{"site": "queue.attempt", "action": "hang",
+                       "seconds": 60, "job_id": "orphan/merge#1"}]},
+)
+"""
 
 
 class TestKindResolution:
@@ -72,16 +96,18 @@ class TestKindResolution:
         assert resolve_executor_kind(None, 4) == "pool"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "fleet")
-        assert resolve_executor_kind(None, 4) == "fleet"
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "pool")
+        assert resolve_executor_kind(None, 1) == "pool"
 
     def test_explicit_choice_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "fleet")
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "pool")
         assert resolve_executor_kind("serial", 4) == "serial"
 
     def test_unknown_choice_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
             resolve_executor_kind("threads", 2)
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            resolve_executor_kind("fleet", 2)
 
     def test_unknown_env_rejected(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "threads")
@@ -94,9 +120,6 @@ class TestKindResolution:
         pool = make_executor("pool", jobs=2)
         assert isinstance(pool, PoolExecutor)
         pool.shutdown()
-        fleet = make_executor("fleet", jobs=2)
-        assert isinstance(fleet, FleetExecutor)
-        fleet.shutdown()
 
     def test_run_jobs_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
@@ -155,259 +178,72 @@ class TestPoolBackend:
         assert EVENT_LOST in killer_kinds
         assert EVENT_REQUEUED in killer_kinds
 
-
-class TestFleetBackend:
-    def test_parity_with_serial(self, tmp_path):
-        specs = [
-            _spec(f"j{i}", "add", a=i, b=i * 10) for i in range(4)
-        ]
-        serial = run_jobs(specs, executor="serial")
-        fleet = run_jobs(specs, jobs=2, executor="fleet")
-        assert {k: r.value for k, r in fleet.items()} == {
-            k: r.value for k, r in serial.items()
-        }
-        assert all(r.status == "ok" for r in fleet.values())
-        pids = {r.worker_pid for r in fleet.values()}
-        assert os.getpid() not in pids  # really ran out of process
-
     def test_job_error_is_structured_not_lost(self):
         events = []
         results = run_jobs(
             [_spec("bad", "boom")],
-            jobs=1,
-            executor="fleet",
+            jobs=2,
+            executor="pool",
             observers=[events.append],
         )
         assert results["bad"].status == "failed"
         assert "RuntimeError: boom" in results["bad"].error
         assert EVENT_LOST not in {e.kind for e in events}
 
-    def test_worker_crash_requeues_and_converges(self, tmp_path):
-        marker = str(tmp_path / "crash-once")
-        events = []
-        results = run_jobs(
-            [
-                _spec("c1", "flaky_die", retries=2, marker=marker, value=7),
-                _spec("c2", "add", a=3, b=4),
-            ],
-            jobs=2,
-            executor="fleet",
-            observers=[events.append],
+    def test_workers_fence_themselves_when_the_supervisor_dies(
+        self, tmp_path
+    ):
+        """kill -9 the supervisor: its workers exit, a resume converges.
+
+        The merge attempt hangs in a pool worker when the supervisor is
+        killed; both workers must notice the re-parenting and exit
+        within 3 s, and a fresh run over the same store must converge
+        bit-exact with a clean store scan.
+        """
+        store_path = str(tmp_path / "s.jsonl")
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _SUPERVISOR, store_path],
+            stdout=subprocess.PIPE, text=True,
         )
-        assert results["c1"].status == "ok"
-        assert results["c1"].value == 7
-        assert results["c1"].attempts == 2
-        assert results["c2"].value == 7
-        kinds = [e.kind for e in events if e.job_id == "c1"]
-        assert EVENT_LOST in kinds
-        assert EVENT_REQUEUED in kinds
-
-    def test_worker_crash_without_retries_fails_loudly(self, tmp_path):
-        marker = str(tmp_path / "crash-final")
-        results = run_jobs(
-            [_spec("c1", "flaky_die", marker=marker)],
-            jobs=1,
-            executor="fleet",
-        )
-        assert results["c1"].status == "failed"
-        assert "worker process died" in results["c1"].error
-
-    def test_sigkill_mid_job_never_loses_the_result(self, tmp_path):
-        """kill -9 on a live worker: requeued, re-run, exactly one ok."""
-        backend = FleetExecutor(2, fleet_dir=str(tmp_path / "fleet"))
-        killed = []
-
-        def assassin():
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and not killed:
-                for worker in backend.workers():
-                    if worker.job_id == "victim":
-                        os.kill(worker.pid, signal.SIGKILL)
-                        killed.append(worker.pid)
-                        return
+        pids = []
+        try:
+            pids = [int(pid) for pid in supervisor.stdout.readline().split()]
+            assert len(pids) == 2, "supervisor never reached the merge"
+            assert all(_alive(pid) for pid in pids)
+            supervisor.kill()
+            supervisor.wait(timeout=10.0)
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline and any(map(_alive, pids)):
                 time.sleep(0.05)
+            survivors = [pid for pid in pids if _alive(pid)]
+            assert not survivors, f"orphaned workers survived: {survivors}"
+        finally:
+            supervisor.kill()
+            supervisor.wait(timeout=10.0)
+            supervisor.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
-        thread = threading.Thread(target=assassin, daemon=True)
-        thread.start()
-        events = []
-        results = run_jobs(
-            [
-                _spec(
-                    "victim", "slow_identity", retries=1,
-                    value=9, delay_s=1.5,
-                ),
-                _spec("bystander", "add", a=1, b=1),
-            ],
-            executor=backend,
-            observers=[events.append],
-        )
-        thread.join(timeout=30.0)
-        assert killed, "assassin never saw the victim worker"
-        assert results["victim"].status == "ok"
-        assert results["victim"].value == 9
-        assert results["victim"].attempts == 2
-        assert results["bystander"].value == 2
-        kinds = [e.kind for e in events if e.job_id == "victim"]
-        assert EVENT_LOST in kinds
-        assert EVENT_REQUEUED in kinds
-        # Exactly one terminal "finished" event for the victim.
-        assert kinds.count("finished") == 1
-        leases = _terminal_leases(str(tmp_path / "fleet" / "leases.jsonl"))
-        assert leases, "no leases recorded"
-        assert all(
-            state in TERMINAL_LEASE_STATES for state in leases.values()
-        )
-
-    def test_heartbeat_drop_expires_lease(self, tmp_path):
-        """A silent worker (beats dropped) is fenced at lease expiry."""
-        marks = metrics().snapshot()["counters"]
-        before = marks.get("executor.leases.expired", 0)
-        backend = FleetExecutor(
-            1,
-            fleet_dir=str(tmp_path / "fleet"),
-            lease_ttl_s=1.0,
-            startup_grace_s=1.0,
-        )
-        results = run_jobs(
-            [_spec("h1", "slow_identity", value=5, delay_s=30.0)],
-            executor=backend,
-            faults={
-                "rules": [
-                    {
-                        "site": "lease.renew",
-                        "action": "drop",
-                        "times": 1000,
-                    },
-                ]
-            },
-        )
-        assert results["h1"].status == "failed"
-        assert "worker process died" in results["h1"].error
-        assert "lease expired" in results["h1"].error
-        after = metrics().snapshot()["counters"]
-        assert after.get("executor.leases.expired", 0) > before
-        leases = _terminal_leases(str(tmp_path / "fleet" / "leases.jsonl"))
-        assert "expired" in set(leases.values())
-
-    def test_straggler_twin_first_result_wins(self, tmp_path):
-        marker = str(tmp_path / "slow-once")
-        backend = FleetExecutor(
-            2,
-            fleet_dir=str(tmp_path / "fleet"),
-            straggler_pct=50.0,
-            straggler_factor=1.0,
-            straggler_min_done=1,
-        )
-        specs = [
-            _spec("fast1", "add", a=1, b=1),
-            _spec("fast2", "add", a=2, b=2),
-            _spec("drag", "slow_once", marker=marker, value=5),
-        ]
-        before = metrics().snapshot()["counters"].get(
-            "executor.speculative.wins", 0
-        )
-        results = run_jobs(specs, executor=backend)
-        assert results["drag"].status == "ok"
-        assert results["drag"].value == 5
-        assert results["drag"].attempts == 1  # a twin is not a retry
-        after = metrics().snapshot()["counters"].get(
-            "executor.speculative.wins", 0
-        )
-        assert after > before
-        leases = _terminal_leases(str(tmp_path / "fleet" / "leases.jsonl"))
-        assert "cancelled" in set(leases.values())  # the losing twin
-        assert all(
-            state in TERMINAL_LEASE_STATES for state in leases.values()
-        )
-
-    def test_same_key_duplicates_resolve_cached(self):
-        specs = [
-            _spec("first", "add", a=2, b=3),
-            _spec("twin", "add", a=2, b=3),
-        ]
-        results = run_jobs(specs, jobs=2, executor="fleet")
-        statuses = sorted(r.status for r in results.values())
-        assert statuses == ["cached", "ok"]
-        assert {r.value for r in results.values()} == {5}
-
-    def test_cancel_kills_worker(self, tmp_path):
-        backend = FleetExecutor(1, fleet_dir=str(tmp_path / "fleet"))
-        ticket = backend.submit(
-            _spec("hang", "slow_identity", value=1, delay_s=60.0), 1, None
-        )
-        deadline = time.monotonic() + 20.0
-        while not backend.workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        workers = backend.workers()
-        assert workers
-        assert backend.cancel(ticket) is True
-        backend.shutdown()
-        for worker in workers:
-            with pytest.raises(OSError):
-                os.kill(worker.pid, 0)
-        leases = _terminal_leases(str(tmp_path / "fleet" / "leases.jsonl"))
-        assert set(leases.values()) == {"cancelled"}
-
-    def test_orphan_fencing_on_restart(self, tmp_path):
-        """A new supervisor over an old transcript fences stale leases."""
-        fleet_dir = str(tmp_path / "fleet")
-        first = FleetExecutor(1, fleet_dir=fleet_dir)
-        from repro.runner.executors.fleet import (
-            LEASE_RUNNING,
-            lease_record,
-        )
-
-        store = ResultStore(
-            os.path.join(fleet_dir, "leases.jsonl"), backend="jsonl"
-        )
-        # A non-terminal lease owned by a pid that no longer exists —
-        # what a supervisor crash leaves behind.
-        store.append(
-            lease_record(
-                "lease/dead#1#w9999", "ghost", "w9999", LEASE_RUNNING,
-                attempt=1, pid=2**22 - 1,
+        def sweep(path):
+            return sharded_sweep_campaign(
+                "orphan", "runner_workers:array_curve", "values",
+                [float(v) for v in range(12)], store_path=path, shards=2,
             )
-        )
-        store.close()
-        first.shutdown()
-        before = metrics().snapshot()["counters"].get(
-            "executor.leases.orphaned", 0
-        )
-        second = FleetExecutor(1, fleet_dir=fleet_dir)
-        second.shutdown()
-        after = metrics().snapshot()["counters"].get(
-            "executor.leases.orphaned", 0
-        )
-        assert after > before
-        leases = _terminal_leases(os.path.join(fleet_dir, "leases.jsonl"))
-        assert leases["lease/dead#1#w9999"] == "orphaned"
 
-
-class TestCampaignIntegration:
-    def test_campaign_fleet_pins_dir_next_to_store(self, tmp_path):
-        from repro.runner.campaign import Campaign, run_campaign
-
-        store_path = str(tmp_path / "results.jsonl")
-        campaign = Campaign("fleet-camp")
-        campaign.call("a", "runner_workers:add", a=1, b=2)
-        campaign.call("b", "runner_workers:add", a=3, b=4)
-        result = run_campaign(
-            campaign, jobs=2, store_path=store_path, executor="fleet"
+        baseline_path = str(tmp_path / "baseline.jsonl")
+        baseline = sweep(baseline_path)
+        assert run_campaign(baseline, store_path=baseline_path).ok
+        campaign = sweep(store_path)
+        resumed = run_campaign(campaign, store_path=store_path)
+        assert resumed.ok
+        assert resumed.results["orphan/shard0000"].status == "cached"
+        assert collect_points(store_path, campaign) == collect_points(
+            baseline_path, baseline
         )
-        assert result.ok
-        assert result.results["a"].value == 3
-        assert result.results["b"].value == 7
-        lease_path = os.path.join(store_path + ".fleet", "leases.jsonl")
-        assert os.path.exists(lease_path)
-        leases = _terminal_leases(lease_path)
-        assert leases
-        assert all(
-            state in TERMINAL_LEASE_STATES for state in leases.values()
-        )
-        # Resumption: a re-run over the same store is all cache hits —
-        # no new worker ever spawns.
-        again = run_campaign(
-            campaign, jobs=2, store_path=store_path, executor="fleet"
-        )
-        assert again.ok
-        assert all(r.status == "cached" for r in again.results.values())
+        store = ResultStore(store_path)
+        try:
+            stats = store.verify()
+        finally:
+            store.close()
+        assert damage_total(stats) == 0

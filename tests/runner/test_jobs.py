@@ -106,6 +106,17 @@ class TestJobSpec:
         spec = JobSpec("j", "callable", "m:f", {"x": 1, "y": [2, 3]})
         assert spec.params_dict() == {"x": 1, "y": [2, 3]}
 
+    def test_dataclass_replace_keeps_key_and_params(self):
+        import dataclasses
+
+        spec = JobSpec(
+            "j", "callable", "m:f", {"x": 1, "y": [2, {"z": (3, 4)}]}
+        )
+        replaced = dataclasses.replace(spec, deadline_s=1.0)
+        assert replaced.deadline_s == 1.0
+        assert replaced.key == spec.key
+        assert replaced.params_dict() == spec.params_dict()
+
 
 class TestExecute:
     def test_experiment_job_returns_experiment_result(self):
