@@ -1,4 +1,4 @@
-"""Batch-evaluation benchmarks: vectorised core, sharded sweeps, codec.
+"""Batch-evaluation benchmarks: vectorised core, sharded sweeps, kernels.
 
 Claims under timing:
 
@@ -12,18 +12,14 @@ Claims under timing:
   a reduced grid) streams through the result store resumably:
   re-running after an interrupt resolves completed shards from cache
   and computes only the remainder,
-* the **columnar binary codec** runs the same end-to-end
-  sweep -> merge -> collect pipeline at least 5x faster than the
-  JSON-dict path and leaves the store at least 4x smaller on disk
-  (observed ~30x / ~13x at 50k points, wider at 1M),
 * the streaming merge's peak tracked allocation stays O(chunk): under
   25% of the fully decoded point list (tracemalloc-asserted),
 * the **hot kernels** (``group="kernels"``): per-kernel microbenchmark
-  rows for the lockstep bisection, the saw-tooth peak search, and a
-  codec pack+unpack round trip; when the native (numba) tier is
-  importable the JIT twins must beat the numpy tier at least 3x on the
-  bisection and saw-tooth rows (skipped with a note otherwise — the
-  CI ``kernels-native`` job enforces it), and the adaptive-chunk
+  rows for the lockstep bisection and the saw-tooth peak search;
+  when the native (numba) tier is importable the JIT twins must beat
+  the numpy tier at least 3x on both rows (skipped with a note
+  otherwise — the CI ``kernels-native`` job enforces it), and the
+  adaptive-chunk
   saw-tooth pass keeps its peak tracked allocation under 25% of the
   unchunked candidate-matrix estimate.
 
@@ -34,7 +30,6 @@ artifact CI uploads and compares against the committed
 
 from __future__ import annotations
 
-import glob
 import os
 import time
 import tracemalloc
@@ -47,7 +42,6 @@ from repro.core.design_space import DesignSpaceExplorer
 from repro.core.dimensioning import BufferDimensioner
 from repro.runner import (
     ResultStore,
-    collect_arrays,
     collect_points,
     run_campaign,
     sharded_sweep_campaign,
@@ -195,9 +189,7 @@ def test_sharded_sweep_streams_and_resumes(benchmark, tmp_path):
     assert counts == {"cached": half, "ok": SHARDS - half + 1}, counts
     summary = resumed.results["dspace/merge"].value
     assert summary["points"] == SWEEP_N
-    # The columnar merge files compact block records, not one JSON
-    # record per point.
-    assert summary["point_records"] == 0
+    # The merge files compact block records, not one record per point.
     assert summary["block_records"] >= 1
 
     store = ResultStore(store_path)
@@ -220,67 +212,6 @@ def test_sharded_sweep_streams_and_resumes(benchmark, tmp_path):
     rerun_s = time.perf_counter() - start
     assert rerun.status_counts() == {"cached": SHARDS + 1}
     print(f"cached re-run {rerun_s:.2f}s")
-
-
-#: Grid size for the end-to-end codec comparison: the full sweep grid,
-#: capped locally so the deliberately slow JSON-dict control run stays
-#: tolerable under the default million-point grid.
-CODEC_N = min(SWEEP_N, 200_000)
-
-
-@pytest.mark.benchmark(group="codec")
-def test_columnar_pipeline_5x_faster_4x_smaller(benchmark, tmp_path):
-    """The columnar codec beats the JSON-dict pipeline end to end.
-
-    Same grid, same shards, both codecs: sweep -> merge -> collect.
-    The columnar path must finish the whole pipeline at least 5x
-    faster and leave the store at least 4x smaller on disk (shard
-    payloads as binary column blobs, merged output as block records
-    instead of one JSON record per point).  Observed at 50k points:
-    ~30x wall time, ~13x disk.
-    """
-
-    def pipeline(codec, store_path):
-        campaign = _sweep_campaign(store_path, n=CODEC_N, codec=codec)
-        start = time.perf_counter()
-        result = run_campaign(
-            campaign, store_path=store_path, cache_preload="specs"
-        )
-        assert result.ok
-        if codec == "columnar":
-            columns = collect_arrays(store_path, campaign)
-            count = len(columns.values)
-        else:
-            _, points = collect_points(store_path, campaign)
-            count = len(points)
-        elapsed = time.perf_counter() - start
-        assert count == CODEC_N
-        # WAL/journal siblings included, in case the close did not
-        # checkpoint everything back into the main file yet.
-        size = sum(
-            os.path.getsize(p) for p in glob.glob(store_path + "*")
-        )
-        return elapsed, size
-
-    json_s, json_bytes = pipeline("json", str(tmp_path / "json.sqlite"))
-    columnar_s, columnar_bytes = run_once_slow(
-        benchmark, pipeline, "columnar", str(tmp_path / "columnar.sqlite")
-    )
-
-    print()
-    print(
-        f"{CODEC_N} points end-to-end: json {json_s:.2f}s "
-        f"{json_bytes / 1e6:.1f} MB, columnar {columnar_s:.2f}s "
-        f"{columnar_bytes / 1e6:.1f} MB "
-        f"(x{json_s / columnar_s:.0f} faster, "
-        f"x{json_bytes / columnar_bytes:.1f} smaller)"
-    )
-    assert columnar_s * 5 <= json_s, (
-        f"columnar pipeline only x{json_s / columnar_s:.1f} over JSON"
-    )
-    assert columnar_bytes * 4 <= json_bytes, (
-        f"columnar store only x{json_bytes / columnar_bytes:.1f} smaller"
-    )
 
 
 #: Grid size for the merge-memory assertion: the CI-reduced sweep as-is,
@@ -330,7 +261,6 @@ def test_streaming_merge_memory_bounded(benchmark, tmp_path):
 
     summary = run_once_slow(benchmark, traced_merge)
     assert summary["points"] == MEM_N
-    assert summary["point_records"] == 0
     assert summary["block_records"] >= MEM_N // flush_chunk
 
     ratio = peaks["merge"] / full_peak
@@ -481,29 +411,6 @@ def test_kernel_sawtooth_native_3x_over_numpy(benchmark):
         getattr(native, "sawtooth_best_user_bits", None),
         args,
     )
-
-
-@pytest.mark.benchmark(group="kernels")
-def test_kernel_codec_roundtrip(benchmark):
-    """Codec pack+unpack round trip: the per-column blob hot path."""
-    from repro.kernels import numpy_impl
-
-    column = np.linspace(-1e9, 1e9, KERNEL_N)
-
-    def roundtrip():
-        blob = numpy_impl.codec_pack(column, "<f8")
-        return numpy_impl.codec_unpack(blob, "<f8", KERNEL_N, 0)
-
-    decoded = run_once(benchmark, roundtrip)
-    assert np.array_equal(decoded, column)
-
-    native = _native_impl()
-    if native is not None:
-        blob = native.codec_pack(column, "<f8")
-        assert blob == numpy_impl.codec_pack(column, "<f8")
-        assert np.array_equal(
-            native.codec_unpack(blob, "<f8", KERNEL_N, 0), column
-        )
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -149,7 +149,7 @@ def sweep(
     ``values`` is an explicit grid or a descriptor mapping
     (:func:`repro.runner.sharding.grid_descriptor`).  Extra keywords
     pass through to :func:`repro.runner.sharding.run_sharded_sweep`
-    (``common=``, ``codec=``, ``flush_chunk=``, ``monitor=``, ...).
+    (``common=``, ``flush_chunk=``, ``monitor=``, ...).
     """
     with _telemetry_override(telemetry):
         return _run_sharded_sweep(

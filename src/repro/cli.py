@@ -67,7 +67,6 @@ def _add_run_options(
     jobs: bool = True,
     store: bool = False,
     store_required: bool = False,
-    codec: bool = False,
     telemetry: bool = True,
     trace_help: str | None = None,
 ) -> None:
@@ -77,8 +76,7 @@ def _add_run_options(
     environment fallback so services and CI set them once:
     ``--jobs``/``$REPRO_JOBS``, ``--store``/``$REPRO_STORE``,
     ``--store-backend``/``$REPRO_STORE_BACKEND``,
-    ``--codec``/``$REPRO_POINT_CODEC``, ``--trace``/``$REPRO_TRACE``,
-    ``--telemetry``/``$REPRO_TELEMETRY``.
+    ``--trace``/``$REPRO_TRACE``, ``--telemetry``/``$REPRO_TELEMETRY``.
     """
     if jobs:
         parser.add_argument(
@@ -112,15 +110,6 @@ def _add_run_options(
                 "persistence backend for --store (default: auto-detect "
                 "existing format, then $REPRO_STORE_BACKEND, then the "
                 "path extension)"
-            ),
-        )
-    if codec:
-        parser.add_argument(
-            "--codec", choices=("columnar", "json"), default=None,
-            help=(
-                "point payload codec: 'columnar' packs results as binary "
-                "column blocks, 'json' keeps one JSON record per point "
-                "(default: $REPRO_POINT_CODEC, then columnar)"
             ),
         )
     if telemetry:
@@ -244,9 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=8, metavar="N",
         help="contiguous grid shards, one cached job each (default 8)",
     )
-    _add_run_options(
-        sweep_parser, store=True, store_required=True, codec=True
-    )
+    _add_run_options(sweep_parser, store=True, store_required=True)
     sweep_parser.add_argument(
         "--name", default="sweep", metavar="NAME",
         help="campaign name prefix for the shard/merge jobs",
@@ -755,7 +742,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         shards=args.shards,
         jobs=args.jobs,
         store_backend=args.store_backend,
-        codec=args.codec,
         monitor=monitor,
         strict=False,
         observers=[capture] if capture is not None else [],
@@ -767,15 +753,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     merge = result.results.get(f"{args.name}/merge")
     if result.ok and merge is not None and isinstance(merge.value, dict):
         summary = merge.value
-        stored = (
-            f"{summary.get('block_records', 0)} columnar blocks"
-            if summary.get("block_records")
-            else f"{summary.get('point_records', 0)} point records"
-        )
+        blocks = summary.get("block_records", 0)
         print()
         print(
             f"{summary['points']} points over {summary['shards']} shards "
-            f"-> {args.store} ({stored})"
+            f"-> {args.store} ({blocks} columnar blocks)"
         )
         for name in sorted(summary.get("metrics", {})):
             stats = summary["metrics"][name]

@@ -108,8 +108,6 @@ def warm_kernels() -> str:
             "sawtooth_best_user_bits",
             np.array([4096], dtype=np.int64), 64, 3, 1, 8,
         )
-        registry.call("codec_pack", np.array([1.0]), "<f8")
-        registry.call("codec_unpack", b"\x00" * 8, "<f8", 1, 0)
     return tier
 
 

@@ -37,9 +37,6 @@ from .scalar import (  # noqa: E402
     SAWTOOTH_OFFSETS,
 )
 
-_DTYPES = {"<f8": np.float64, "<i8": np.int64, "|u1": np.uint8}
-
-
 @njit(cache=True)
 def _wall_bisect(
     goals, rate_min, rate_max, rm, p_rw, p_sb, p_idle, be_frac
@@ -119,12 +116,6 @@ def _sawtooth(caps, k, c, num, den):  # pragma: no cover - numba only
     return out
 
 
-@njit(cache=True)
-def _copy_bytes(src, dst):  # pragma: no cover - numba only
-    for i in range(src.shape[0]):
-        dst[i] = src[i]
-
-
 def energy_wall_bisect(
     goals, rate_min, rate_max, rm, p_rw, p_sb, p_idle, be_frac
 ) -> np.ndarray:
@@ -158,30 +149,8 @@ def sawtooth_best_user_bits(caps, k, c, num, den) -> np.ndarray:
     return out.reshape(caps.shape)
 
 
-def codec_pack(column, dtype: str) -> bytes:
-    """Native column pack: jitted byte blit from the typed view."""
-    arr = np.ascontiguousarray(np.asarray(column), dtype=dtype)
-    src = arr.view(np.uint8).reshape(-1)
-    out = np.empty(src.shape[0], dtype=np.uint8)
-    _copy_bytes(src, out)
-    return out.tobytes()
-
-
-def codec_unpack(
-    blob: bytes, dtype: str, count: int, offset: int
-) -> np.ndarray:
-    """Native column unpack: jitted byte blit into a fresh array."""
-    itemsize = np.dtype(dtype).itemsize
-    src = np.frombuffer(
-        blob, dtype=np.uint8, count=count * itemsize, offset=offset
-    )
-    out = np.empty(count, dtype=_DTYPES[dtype])
-    _copy_bytes(src, out.view(np.uint8).reshape(-1))
-    return out
-
-
 _JITTED = (_wall_bisect, _ecc_bits_one, _sector_bits_one, _max_su_one,
-           _sawtooth, _copy_bytes)
+           _sawtooth)
 
 _warm_result: tuple[int, int] | None = None
 
@@ -203,8 +172,6 @@ def warm_native() -> tuple[int, int]:
         np.array([0.5]), 1.0e3, 1.0e6, 1.0e7, 1.0, 0.1, 0.5, 0.05
     )
     sawtooth_best_user_bits(np.array([4096], dtype=np.int64), 64, 3, 1, 8)
-    codec_pack(np.array([1.0]), "<f8")
-    codec_unpack(b"\x00" * 8, "<f8", 1, 0)
     hits = misses = 0
     counted = False
     for fn in _JITTED:
@@ -241,5 +208,3 @@ def register_native(registry) -> None:
     registry.register(
         "sawtooth_best_user_bits", "native", sawtooth_best_user_bits
     )
-    registry.register("codec_pack", "native", codec_pack)
-    registry.register("codec_unpack", "native", codec_unpack)

@@ -1,10 +1,10 @@
 """Vectorised (``numpy`` tier) implementations of the hot kernels.
 
 This is the code that used to live inline in
-``DesignSpaceExplorer.energy_wall_rate_batch``,
-``SectorLayout._best_user_bits_chunk``, and ``runner/codec.py`` —
-refactored behind the kernel registry, operation for operation, so
-moving it here changed no answer.  One behavioural upgrade rode along:
+``DesignSpaceExplorer.energy_wall_rate_batch`` and
+``SectorLayout._best_user_bits_chunk`` — refactored behind the kernel
+registry, operation for operation, so moving it here changed no
+answer.  One behavioural upgrade rode along:
 the saw-tooth peak search's fixed 16384-row chunking is now *adaptive*
 (:func:`batch_chunk_rows`): the chunk size is derived from the row
 width of the candidate matrix against a fixed memory budget, with
@@ -175,23 +175,9 @@ def sawtooth_best_user_bits(
     return out.reshape(caps.shape)
 
 
-def codec_pack(column, dtype: str) -> bytes:
-    """One column as contiguous little-endian bytes."""
-    return np.ascontiguousarray(np.asarray(column), dtype=dtype).tobytes()
-
-
-def codec_unpack(
-    blob: bytes, dtype: str, count: int, offset: int
-) -> np.ndarray:
-    """Zero-copy decode of one binary column from the payload blob."""
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-
-
 def register_numpy(registry) -> None:
     """Register every numpy-tier kernel on ``registry``."""
     registry.register("energy_wall_bisect", "numpy", energy_wall_bisect)
     registry.register(
         "sawtooth_best_user_bits", "numpy", sawtooth_best_user_bits
     )
-    registry.register("codec_pack", "numpy", codec_pack)
-    registry.register("codec_unpack", "numpy", codec_unpack)

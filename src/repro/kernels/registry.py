@@ -1,8 +1,8 @@
 """Kernel registry and tiered dispatch.
 
-The three innermost loops of the batch engine — the log-domain
-boundary bisection, the fig2a saw-tooth peak search, and the codec
-column pack/unpack — live here as *kernels*: named functions over
+The two innermost loops of the batch engine — the log-domain
+boundary bisection and the fig2a saw-tooth peak search — live here
+as *kernels*: named functions over
 plain ndarrays and scalars with up to three registered implementations
 ("tiers") each:
 

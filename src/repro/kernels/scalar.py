@@ -12,7 +12,6 @@ parity failure one lane at a time.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -25,8 +24,6 @@ SAWTOOTH_OFFSETS = 65
 #: by every tier (and by the scalar ``energy_wall_rate`` method).
 BISECT_ITERATIONS = 80
 BISECT_RTOL = 1e-12
-
-_STRUCT_CODE = {"<f8": "d", "<i8": "q", "|u1": "B"}
 
 
 def _max_saving(
@@ -146,31 +143,9 @@ def sawtooth_best_user_bits(
     return out
 
 
-def codec_pack(column, dtype: str) -> bytes:
-    """One column as little-endian bytes, element by element."""
-    values = np.asarray(column)
-    code = _STRUCT_CODE[dtype]
-    if code == "d":
-        items = [float(v) for v in values.tolist()]
-    else:
-        items = [int(v) for v in values.tolist()]
-    return struct.pack(f"<{len(items)}{code}", *items)
-
-
-def codec_unpack(
-    blob: bytes, dtype: str, count: int, offset: int
-) -> np.ndarray:
-    """Decode ``count`` elements of ``dtype`` starting at ``offset``."""
-    code = _STRUCT_CODE[dtype]
-    items = struct.unpack_from(f"<{count}{code}", blob, offset)
-    return np.array(items, dtype=dtype)
-
-
 def register_scalar(registry) -> None:
     """Register every scalar-tier kernel on ``registry``."""
     registry.register("energy_wall_bisect", "scalar", energy_wall_bisect)
     registry.register(
         "sawtooth_best_user_bits", "scalar", sawtooth_best_user_bits
     )
-    registry.register("codec_pack", "scalar", codec_pack)
-    registry.register("codec_unpack", "scalar", codec_unpack)

@@ -80,8 +80,6 @@ from .jobs import (
 )
 from .codec import (
     CODEC_COLUMNAR,
-    CODEC_ENV_VAR,
-    CODEC_JSON,
     STORAGE_FORMAT,
 )
 from .monitor import ProgressMonitor
@@ -104,8 +102,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_ENV_VAR",
     "CODEC_COLUMNAR",
-    "CODEC_ENV_VAR",
-    "CODEC_JSON",
     "Campaign",
     "CampaignResult",
     "EVENT_LOST",

@@ -1,15 +1,11 @@
-"""Columnar binary codec for sweep point payloads.
+"""Columnar binary codec: the one stored format of sweep points.
 
-A million-point sweep used to move through the store as a million
-Python dicts: each point built as ``{"metric": value, ...}``, pushed
-through ``json_safe``, JSON-encoded into a shard payload, re-decoded at
-merge, and re-encoded once more as a per-point record.  At that scale
-serialization — not compute — dominates the pipeline.  This module
-replaces the per-point hop with *columns*: a shard's results become
-named ``float64``/``int64`` arrays packed as raw little-endian bytes in
-one contiguous blob, decoded straight back to numpy with
-``np.frombuffer`` — no per-point Python object is ever created on the
-hot path.
+A million-point sweep moves through the store as *columns*, never as
+a million Python dicts: a shard's results become named
+``float64``/``int64`` arrays packed as raw little-endian bytes in one
+contiguous blob, decoded straight back to numpy with ``np.frombuffer``
+— no per-point Python object is created on the hot path.  This module
+is the only code that knows those bytes.
 
 Payload shape (the in-memory record value)::
 
@@ -17,7 +13,7 @@ Payload shape (the in-memory record value)::
         "codec": "columnar",          # payload-kind marker
         "format": 1,                  # storage-format version stamp
         "count": N,                   # points in this payload
-        "points_kind": "mapping",     # or "scalar"
+        "points_kind": "mapping",     # or "scalar" or "points"
         "values": {descriptor},       # the grid-value column
         "columns": [{descriptor}...], # one per metric, in order
         "blob": b"...",               # concatenated column bytes
@@ -29,9 +25,11 @@ small string vocabularies stored as one-byte codes), or ``"json"``
 with inline ``data`` — the lossless fallback for columns the binary
 dtypes cannot represent exactly.  Type mapping is *exact by
 construction*: a column is only packed binary when every value is the
-same Python scalar type, so the columnar path round-trips bit-for-bit
-against the JSON-dict path (NaN/inf included — IEEE doubles carry them
-natively, which plain JSON cannot even promise).
+same Python scalar type, so a payload decodes back to the exact
+Python values that went in (NaN/inf included — IEEE doubles carry
+them natively).  Points that will not columnise at all (ragged
+mappings, nested lists) pack as one inline-JSON column under
+``points_kind`` ``"points"`` and come back unchanged.
 
 Bytes cross the persistence boundary two ways:
 
@@ -46,16 +44,15 @@ Either way the record the rest of the system sees — cache, compaction,
 migration — carries real ``bytes``, so columnar payloads move between
 backends verbatim and a JSONL↔SQLite migration is still byte-exact.
 
-The ``REPRO_POINT_CODEC`` environment variable (``columnar`` |
-``json``) selects the default packing for sharded sweeps; old stores
-whose payloads predate the codec keep reading — every decoder branches
-on the payload's ``codec``/``format`` stamp.
+Stores written by older builds may still hold legacy per-point JSON
+shard payloads (``{"values": [...], "points": [...]}``).  Nothing
+writes them any more; :func:`decode_payload` reads them, and every
+sweep reader goes through it.
 """
 
 from __future__ import annotations
 
 import base64
-import os
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -63,16 +60,15 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults import fault_site
-from ..kernels import dispatch
 from ..telemetry import metrics
 
-#: Environment variable naming the default point codec.
-CODEC_ENV_VAR = "REPRO_POINT_CODEC"
-#: Pack uniform numeric/categorical point series as binary columns.
+#: The point codec: uniform numeric/categorical series as binary columns.
 CODEC_COLUMNAR = "columnar"
-#: The legacy per-point JSON-dict path.
-CODEC_JSON = "json"
-CODECS = (CODEC_COLUMNAR, CODEC_JSON)
+#: Codec names a sweep campaign may carry.  ``"json"`` names the retired
+#: per-point format: a campaign built with it still rebuilds the content
+#: keys of an old store, so the store stays readable, but executing its
+#: shard or merge jobs is refused (:func:`require_writable`).
+CODECS = (CODEC_COLUMNAR, "json")
 
 #: Storage-format version stamped into every columnar payload.  Bump it
 #: when the payload layout changes; decoders refuse formats they do not
@@ -86,10 +82,14 @@ BLOB_KEY = "@blob"
 
 #: Column name used when points are plain scalars, not mappings.
 SCALAR_COLUMN = "value"
+#: Column name of the inline-JSON column holding points that will not
+#: columnise.
+POINTS_COLUMN = "points"
 
 #: ``points_kind`` values.
 KIND_MAPPING = "mapping"
 KIND_SCALAR = "scalar"
+KIND_POINTS = "points"
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _DTYPE_F8 = "<f8"
@@ -99,14 +99,8 @@ _DTYPE_JSON = "json"
 _ITEMSIZE = {_DTYPE_F8: 8, _DTYPE_I8: 8, _DTYPE_U1: 1}
 
 
-def default_codec() -> str:
-    """The codec sharded sweeps use when none is passed explicitly."""
-    name = os.environ.get(CODEC_ENV_VAR, "").strip() or CODEC_COLUMNAR
-    return check_codec(name)
-
-
 def check_codec(name: str) -> str:
-    """Validate a codec name."""
+    """Validate a codec name a sweep campaign may carry."""
     if name not in CODECS:
         known = ", ".join(CODECS)
         raise ConfigurationError(
@@ -115,26 +109,36 @@ def check_codec(name: str) -> str:
     return name
 
 
+def require_writable(name: str | None) -> None:
+    """Refuse to write points in any codec but the columnar one."""
+    if name is not None and check_codec(name) != CODEC_COLUMNAR:
+        raise ConfigurationError(
+            f"the {name!r} point codec is read-only: stores written with "
+            "it still read, but new points are written columnar only"
+        )
+
+
 # -- column packing --------------------------------------------------------
 
 
-def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
-    """Pack a typed numpy column without a per-value type scan.
+def _to_bytes(column: Any, dtype: str) -> bytes:
+    """One column as contiguous little-endian bytes of ``dtype``."""
+    return np.ascontiguousarray(column, dtype=dtype).tobytes()
 
-    The dtype decision stays here; the actual byte blit goes through
-    the ``codec_pack`` kernel.
-    """
+
+def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
+    """Pack a typed numpy column without a per-value type scan."""
     kind = column.dtype.kind
     if kind == "f":
-        return {"dtype": _DTYPE_F8}, dispatch("codec_pack", column, _DTYPE_F8)
+        return {"dtype": _DTYPE_F8}, _to_bytes(column, _DTYPE_F8)
     if kind in "iu" and column.dtype.itemsize <= 8:
         if kind == "u" and column.dtype.itemsize == 8:
             return None  # uint64 may exceed int64; let the scan decide
-        return {"dtype": _DTYPE_I8}, dispatch("codec_pack", column, _DTYPE_I8)
+        return {"dtype": _DTYPE_I8}, _to_bytes(column, _DTYPE_I8)
     if kind == "b":
         return (
             {"dtype": _DTYPE_U1, "categories": [False, True]},
-            dispatch("codec_pack", column, _DTYPE_U1),
+            _to_bytes(column, _DTYPE_U1),
         )
     if kind == "U":
         # Categories in first-seen order, as the list branch numbers
@@ -148,7 +152,7 @@ def _pack_ndarray(column: np.ndarray) -> tuple[dict[str, Any], bytes] | None:
             rank[order] = np.arange(order.size)
             return (
                 {"dtype": _DTYPE_U1, "categories": unique[order].tolist()},
-                dispatch("codec_pack", rank[codes], _DTYPE_U1),
+                _to_bytes(rank[codes], _DTYPE_U1),
             )
     return None
 
@@ -159,8 +163,8 @@ def _pack_values(
     """Pack one column, choosing the tightest exact representation.
 
     Binary dtypes are used only when every value shares one Python
-    scalar type (so decoding restores the exact types the JSON path
-    would have); anything else falls back to an inline ``json`` column.
+    scalar type (so decoding restores the exact types that went in);
+    anything else falls back to an inline ``json`` column.
     Returns ``(descriptor, column_bytes)`` — ``json`` columns carry
     their data inline and contribute no bytes.
     """
@@ -172,11 +176,11 @@ def _pack_values(
     else:
         values = list(values)
     if values and all(type(v) is float for v in values):
-        return {"dtype": _DTYPE_F8}, dispatch("codec_pack", values, _DTYPE_F8)
+        return {"dtype": _DTYPE_F8}, _to_bytes(values, _DTYPE_F8)
     if values and all(type(v) is bool for v in values):
         return (
             {"dtype": _DTYPE_U1, "categories": [False, True]},
-            dispatch("codec_pack", values, _DTYPE_U1),
+            _to_bytes(values, _DTYPE_U1),
         )
     if (
         values
@@ -184,17 +188,17 @@ def _pack_values(
         and _I64_MIN <= min(values)
         and max(values) <= _I64_MAX
     ):
-        return {"dtype": _DTYPE_I8}, dispatch("codec_pack", values, _DTYPE_I8)
+        return {"dtype": _DTYPE_I8}, _to_bytes(values, _DTYPE_I8)
     if values and all(type(v) is str for v in values):
         seen: dict[str, int] = {}
         codes = [seen.setdefault(v, len(seen)) for v in values]
         if len(seen) <= 255:
             return (
                 {"dtype": _DTYPE_U1, "categories": list(seen)},
-                dispatch("codec_pack", codes, _DTYPE_U1),
+                _to_bytes(codes, _DTYPE_U1),
             )
-    # Inline fallback: store exactly what the JSON-dict path would
-    # have stored (json_safe is what the legacy payload went through).
+    # Inline fallback: the values as the store's JSON encoding sees
+    # every other job result.
     from .jobs import json_safe
 
     return {"dtype": _DTYPE_JSON, "data": json_safe(list(values))}, b""
@@ -213,7 +217,7 @@ def _unpack_array(
             "columnar payload blob is truncated "
             f"(need {offset + nbytes} bytes, have {len(blob)})"
         )
-    raw = dispatch("codec_unpack", blob, dtype, count, offset)
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
     if dtype == _DTYPE_U1:
         categories = descriptor.get("categories")
         if categories == [False, True]:
@@ -231,7 +235,7 @@ def _unpack_array(
 
 
 def _column_to_list(column: np.ndarray | list[Any]) -> list[Any]:
-    """A decoded column as exact Python scalars (the JSON-path types)."""
+    """A decoded column as exact Python scalars."""
     if isinstance(column, np.ndarray):
         return column.tolist()
     return list(column)
@@ -292,7 +296,7 @@ def series_from_points(
     Uniform mappings (every point a mapping with the same key tuple)
     become one column per key; plain scalars become a single
     :data:`SCALAR_COLUMN` column.  Anything else — ragged mappings,
-    nested lists — stays on the JSON-dict path.
+    nested lists — returns ``None``.
     """
     if not points:
         return None
@@ -319,15 +323,20 @@ def series_from_points(
 
 def pack_points(
     values: Sequence[Any] | np.ndarray, points: Sequence[Any]
-) -> dict[str, Any] | None:
-    """Pack a per-point list into a columnar payload (``None`` if ragged)."""
+) -> dict[str, Any]:
+    """Pack a per-point list into a columnar payload.
+
+    Points that will not columnise (ragged mappings, nested lists)
+    pack as one inline-JSON :data:`POINTS_COLUMN` under
+    :data:`KIND_POINTS`, so this never fails.
+    """
     if len(values) != len(points):
         raise ConfigurationError(
             f"{len(values)} values but {len(points)} points"
         )
     columnised = series_from_points(points)
     if columnised is None:
-        return None
+        return pack_series(values, {POINTS_COLUMN: points}, KIND_POINTS)
     points_kind, series = columnised
     return pack_series(values, series, points_kind)
 
@@ -377,25 +386,61 @@ def unpack_columns(
     return values, columns, str(payload.get("points_kind", KIND_MAPPING))
 
 
-def unpack_points(
-    payload: Mapping[str, Any],
+def columns_to_points(
+    values: np.ndarray | list[Any],
+    columns: Mapping[str, np.ndarray | list[Any]],
+    points_kind: str,
 ) -> tuple[list[Any], list[Any]]:
-    """Decode a columnar payload back to the JSON-dict ``(values, points)``.
+    """Decoded columns back to per-point ``(values, points)`` lists.
 
-    The compatibility path: exact Python scalar types, mapping key
-    order preserved, bit-identical to what the JSON-dict pipeline
-    would have stored.
+    Exact Python scalar types and mapping key order are preserved;
+    :data:`KIND_POINTS` columns come back as the points that went in.
     """
-    values, columns, points_kind = unpack_columns(payload)
     values_list = _column_to_list(values)
     if points_kind == KIND_SCALAR:
         return values_list, _column_to_list(columns[SCALAR_COLUMN])
+    if points_kind == KIND_POINTS:
+        return values_list, list(columns[POINTS_COLUMN])
     names = list(columns)
     series = [_column_to_list(columns[name]) for name in names]
     points = [
         dict(zip(names, row)) for row in zip(*series)
     ] if names else [{} for _ in values_list]
     return values_list, points
+
+
+def unpack_points(
+    payload: Mapping[str, Any],
+) -> tuple[list[Any], list[Any]]:
+    """Decode a columnar payload back to per-point ``(values, points)``."""
+    return columns_to_points(*unpack_columns(payload))
+
+
+def decode_payload(
+    payload: Mapping[str, Any],
+) -> tuple[np.ndarray | list[Any], dict[str, np.ndarray | list[Any]], str]:
+    """Any stored shard payload as ``(values, columns, points_kind)``.
+
+    The one reader of both stored formats: columnar payloads decode
+    through :func:`unpack_columns`; legacy per-point JSON payloads
+    (``{"values": [...], "points": [...]}``, written by older builds)
+    are columnised the way :func:`pack_points` would have packed them,
+    so every reader sees the same shape whichever build wrote the
+    store.
+    """
+    if is_columnar(payload):
+        return unpack_columns(payload)
+    values = column_to_array(payload["values"])
+    points = payload["points"]
+    columnised = series_from_points(points)
+    if columnised is None:
+        return values, {POINTS_COLUMN: list(points)}, KIND_POINTS
+    points_kind, series = columnised
+    return (
+        values,
+        {name: column_to_array(column) for name, column in series.items()},
+        points_kind,
+    )
 
 
 # -- bytes across the persistence boundary ---------------------------------
@@ -546,9 +591,9 @@ def payload_kind(record: Mapping[str, Any]) -> str:
     """Classify one store record for ``repro store info`` breakdowns.
 
     Kinds: ``columnar-block`` (merged point blocks), ``columnar-shard``
-    (shard payloads in the binary codec), ``shard-json`` (legacy shard
-    payloads), ``point`` (legacy per-point records), ``job`` (campaign
-    job results), ``other``.
+    (shard payloads in the binary codec), ``shard-json`` and ``point``
+    (legacy per-point shard payloads and point records, written only
+    by older builds), ``job`` (campaign job results), ``other``.
     """
     value = record.get("value")
     if isinstance(value, Mapping):
@@ -572,7 +617,7 @@ def column_to_array(column: Any) -> np.ndarray | list[Any]:
 
     Uniform float/int/bool/str columns become numpy arrays (what
     decoding the same data from a columnar payload would return);
-    anything else stays a list.  Used to upconvert legacy JSON-dict
+    anything else stays a list.  Used to upconvert legacy JSON
     payloads so array consumers see one shape regardless of how the
     store was written.
     """

@@ -27,21 +27,19 @@ a million-point sweep pickles a few dozen bytes per job instead of
 value lists.
 
 Shard results move through the store in the **columnar binary codec**
-(:mod:`repro.runner.codec`) by default: a shard's metrics are packed
-as named float64/int64 column arrays in one blob, the merge job
-re-chunks them into *block records* of ``flush_chunk`` points each —
-one compact record per block instead of one JSON record per point —
-and :func:`collect_arrays` decodes blocks straight to numpy with no
-per-point Python-object hop.  ``codec="json"`` (or
-``REPRO_POINT_CODEC=json``) keeps the legacy per-point record path,
-and every reader transparently accepts payloads in either format, so
-stores written before the codec existed keep working.
+(:mod:`repro.runner.codec`), the one format this program writes: a
+shard's metrics are packed as named float64/int64 column arrays in one
+blob, the merge job re-chunks them into *block records* of
+``flush_chunk`` points each, and :func:`collect_arrays` decodes shard
+payloads straight to numpy with no per-point Python-object hop.
+Stores written by older builds in the retired per-point JSON format
+stay readable: every reader decodes shard payloads through
+:func:`~repro.runner.codec.decode_payload`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -53,41 +51,34 @@ from ..telemetry import metrics, span
 from . import codec as _codec
 from .campaign import Campaign
 from .codec import (
-    CODEC_COLUMNAR,
     KIND_MAPPING,
+    KIND_POINTS,
     KIND_SCALAR,
+    POINTS_COLUMN,
     SCALAR_COLUMN,
     check_codec,
-    default_codec,
 )
-from .jobs import content_key, json_safe, resolve_callable
+from .jobs import content_key, resolve_callable
 from .store import ResultStore
 
 #: Dotted paths the shard and merge jobs resolve in worker processes.
 SHARD_TARGET = "repro.runner.sharding:evaluate_shard"
 MERGE_TARGET = "repro.runner.sharding:merge_shards"
 
-#: Pseudo-kind hashed into per-point record keys.  Deliberately NOT a
-#: schedulable job kind: a point record holds one point's metrics, not
-#: what a single-point *job* of the target would return (that job sees
-#: a scalar argument and may shape its output differently), so these
-#: records must never be served as cache hits for real jobs.
-POINT_KIND = "point"
-
-#: Pseudo-kind hashed into columnar block record keys.  Like
-#: :data:`POINT_KIND`, a query surface — never a job cache entry.
+#: Pseudo-kind hashed into columnar block record keys.  Deliberately
+#: NOT a schedulable job kind: a block holds a slice of the sweep's
+#: points, not what a *job* of the target would return (a single-point
+#: job sees a scalar argument and may shape its output differently),
+#: so block records must never be served as cache hits for real jobs.
 BLOCK_KIND = "point-block"
 
 #: Grid-descriptor kinds workers know how to materialise.
 GRID_KINDS = ("geomspace", "linspace")
 
-#: Point records are flushed to the store in batches of this many, so a
-#: million-point merge never holds more than one batch of JSON lines /
-#: SQL rows beyond the one shard payload currently being drained.  The
-#: columnar merge uses the same bound as its block size (points per
-#: block record).  Override per merge with ``flush_chunk=`` or
-#: globally via the ``REPRO_MERGE_FLUSH_CHUNK`` environment variable.
-FLUSH_CHUNK = int(os.environ.get("REPRO_MERGE_FLUSH_CHUNK", "50000"))
+#: Points per merged block record, so a million-point merge never holds
+#: more than one block beyond the shard payload currently being
+#: drained.  Override per merge with ``flush_chunk=``.
+FLUSH_CHUNK = 50_000
 
 
 def shard_grid(values: Sequence[Any], shards: int) -> list[list[Any]]:
@@ -184,8 +175,8 @@ def _check_series(result: Mapping[str, Any], count: int) -> dict[str, Any]:
 
     Numpy columns pass through as arrays — listifying them would turn
     their elements into numpy scalars, which the codec's exact-type
-    checks (and the legacy JSON path) cannot represent; kept as arrays
-    they take the binary fast path directly.
+    checks cannot represent; kept as arrays they take the binary fast
+    path directly.
     """
     series: dict[str, Any] = {}
     for name, column in result.items():
@@ -221,13 +212,14 @@ def evaluate_shard(
 
     Exactly one of ``values`` (an explicit list) and ``grid`` (a
     descriptor, with ``shard_index``/``shard_count``) names the shard's
-    points.  Returns the shard payload the merge job later reassembles
-    in shard order: with the columnar codec (the default), a batch
-    target's per-metric series are packed straight into binary column
-    arrays — no per-point dicts are ever built; with ``codec="json"``
-    (or for results the binary dtypes cannot represent exactly) the
-    payload is the legacy ``{"values": [...], "points": [...]}`` form.
+    points.  Returns the columnar shard payload the merge job later
+    reassembles in shard order: a batch target's per-metric series are
+    packed straight into binary column arrays — no per-point dicts are
+    ever built.  ``codec`` may only name the columnar codec; the
+    retired ``"json"`` codec raises
+    :class:`~repro.errors.ConfigurationError`.
     """
+    _codec.require_writable(codec)
     if (values is None) == (grid is None):
         raise ConfigurationError(
             "pass exactly one of values= or grid= to evaluate_shard"
@@ -241,7 +233,6 @@ def evaluate_shard(
         points_at = shard_values(grid, shard_index, shard_count)
     else:
         points_at = list(values)  # type: ignore[arg-type]
-    chosen = check_codec(codec) if codec is not None else default_codec()
     func = resolve_callable(sweep_target)
     kwargs = dict(common or {})
     count = len(points_at)
@@ -253,7 +244,7 @@ def evaluate_shard(
         shard=shard_index,
     ):
         return _evaluate_shard_points(
-            func, parameter, points_at, kwargs, batch, chosen, count
+            func, parameter, points_at, kwargs, batch, count
         )
 
 
@@ -263,7 +254,6 @@ def _evaluate_shard_points(
     values: Sequence[Any] | np.ndarray,
     kwargs: dict[str, Any],
     batch: bool,
-    chosen: str,
     count: int,
 ) -> dict[str, Any]:
     """The compute + pack body of :func:`evaluate_shard`."""
@@ -271,28 +261,14 @@ def _evaluate_shard_points(
         result = func(**{parameter: values}, **kwargs)
         if isinstance(result, Mapping):
             series = _check_series(result, count)
-            if chosen == CODEC_COLUMNAR:
-                payload = _codec.pack_series(values, series, KIND_MAPPING)
-                return {"parameter": parameter, **payload}
-            lists = {
-                name: (
-                    column.tolist()
-                    if isinstance(column, np.ndarray)
-                    else column
-                )
-                for name, column in series.items()
-            }
-            points: list[Any] = [
-                {name: lists[name][index] for name in lists}
-                for index in range(count)
-            ]
-        else:
-            points = list(result)
-            if len(points) != count:
-                raise ConfigurationError(
-                    f"batch target returned {len(points)} values for a "
-                    f"{count}-point shard"
-                )
+            payload = _codec.pack_series(values, series, KIND_MAPPING)
+            return {"parameter": parameter, **payload}
+        points = list(result)
+        if len(points) != count:
+            raise ConfigurationError(
+                f"batch target returned {len(points)} values for a "
+                f"{count}-point shard"
+            )
     else:
         points = []
         if isinstance(values, np.ndarray):
@@ -302,15 +278,7 @@ def _evaluate_shard_points(
                 points.append(func(**{parameter: value}, **kwargs))
             except InfeasibleDesignError:
                 points.append(math.inf)
-    if chosen == CODEC_COLUMNAR:
-        packed = _codec.pack_points(values, points)
-        if packed is not None:
-            return {"parameter": parameter, **packed}
-    return {
-        "parameter": parameter,
-        "values": json_safe(values),
-        "points": json_safe(points),
-    }
+    return {"parameter": parameter, **_codec.pack_points(values, points)}
 
 
 class _PointSummary:
@@ -318,9 +286,9 @@ class _PointSummary:
 
     Replaces the materialise-then-reduce summary so the merge job can
     fold points in as they stream past — state is three scalars per
-    metric name, never the point series itself.  Columnar shards fold
+    metric name, never the point series itself.  Decoded columns fold
     in as whole arrays (:meth:`add_columns`), producing bit-identical
-    statistics to the per-point path.
+    statistics to folding the same points one by one (:meth:`add`).
     """
 
     def __init__(self) -> None:
@@ -350,8 +318,18 @@ class _PointSummary:
         for name, value in items:
             self._fold(name, value)
 
-    def add_columns(self, columns: Mapping[str, Any]) -> None:
-        """Fold whole decoded columns in one vectorised pass each."""
+    def add_columns(
+        self, columns: Mapping[str, Any], points_kind: str
+    ) -> None:
+        """Fold whole decoded columns in one vectorised pass each.
+
+        Points that did not columnise (:data:`KIND_POINTS`) fold one by
+        one, exactly as :meth:`add` would.
+        """
+        if points_kind == KIND_POINTS:
+            for point in columns[POINTS_COLUMN]:
+                self.add(point)
+            return
         for name, column in columns.items():
             if isinstance(column, np.ndarray):
                 if column.dtype.kind not in "fi":
@@ -399,55 +377,9 @@ def _iter_shard_payloads(
         yield record["value"]
 
 
-def _payload_points(payload: Mapping[str, Any]) -> tuple[list[Any], list[Any]]:
-    """A shard payload as ``(values, points)``, whatever its codec."""
-    if _codec.is_columnar(payload):
-        return _codec.unpack_points(payload)
-    return payload["values"], payload["points"]
-
-
-def _payload_columns(
-    payload: Mapping[str, Any],
-) -> tuple[Any, dict[str, Any], str] | None:
-    """A shard payload as ``(values, columns, points_kind)`` arrays.
-
-    Columnar payloads decode straight to numpy; legacy JSON payloads
-    are columnised when their points are uniform (``None`` when they
-    are not — the caller falls back to the per-point path).
-    """
-    if _codec.is_columnar(payload):
-        return _codec.unpack_columns(payload)
-    columnised = _codec.series_from_points(payload["points"])
-    if columnised is None:
-        return None
-    points_kind, series = columnised
-    return (
-        _codec.column_to_array(payload["values"]),
-        {
-            name: _codec.column_to_array(column)
-            for name, column in series.items()
-        },
-        points_kind,
-    )
-
-
-def point_key(
-    sweep_target: str,
-    parameter: str,
-    value: Any,
-    common: Mapping[str, Any] | None = None,
-) -> str:
-    """Deterministic content key of one grid point of one sweep.
-
-    The legacy (``codec="json"``) merge files every grid point under
-    this key, so any point of an already-swept grid is one indexed
-    ``store.get`` away.  The key hashes :data:`POINT_KIND`, never a
-    schedulable job kind — point records are a query surface, not
-    cache entries for real jobs.
-    """
-    return content_key(
-        POINT_KIND, sweep_target, {parameter: value, **dict(common or {})}
-    )
+def _shard_points(payload: Mapping[str, Any]) -> tuple[list[Any], list[Any]]:
+    """A stored shard payload as per-point ``(values, points)``."""
+    return _codec.columns_to_points(*_codec.decode_payload(payload))
 
 
 def block_key(
@@ -480,9 +412,9 @@ class _BlockWriter:
 
     Buffers one concatenated segment per column and emits a block
     record every ``chunk_size`` points — peak state is O(shard +
-    chunk), matching the per-point merge's bound.  A schema change
-    between shards (different column names) flushes the partial block
-    first, so every block stays self-describing.
+    chunk).  A schema change between shards (different column names)
+    flushes the partial block first, so every block stays
+    self-describing.
     """
 
     def __init__(
@@ -598,29 +530,27 @@ def merge_shards(
 
     Streams shard payloads one at a time (every shard record is in the
     store by the time this job is scheduled — the scheduler cache-puts
-    results before releasing dependents).  With the columnar codec (the
-    default) each payload decodes straight to column arrays, is folded
-    into the metric summary in one vectorised pass, and is re-chunked
-    into **block records** of ``flush_chunk`` points each — one compact
-    binary record per block, keyed by :func:`block_key`.  With
-    ``codec="json"``, or for shard payloads whose points will not
-    columnise, the merge files one JSON record per point under
-    :func:`point_key` exactly as before.  Either way the full point
-    list is never materialised: peak merge memory is O(shard + chunk),
-    not O(points).  Re-merging after an interrupt may append duplicate
+    results before releasing dependents).  Each payload decodes
+    straight to column arrays, is folded into the metric summary in
+    one vectorised pass, and is re-chunked into **block records** of
+    ``flush_chunk`` points each — one compact binary record per block,
+    keyed by :func:`block_key`.  The full point list is never
+    materialised: peak merge memory is O(shard + chunk), not
+    O(points).  Re-merging after an interrupt may append duplicate
     records; latest-wins store semantics make that harmless and
-    ``compact()`` reclaims them.
+    ``compact()`` reclaims them.  ``codec`` may only name the columnar
+    codec; the retired ``"json"`` codec raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     chunk_size = flush_chunk if flush_chunk is not None else FLUSH_CHUNK
     if chunk_size < 1:
         raise ConfigurationError(
             f"flush_chunk must be >= 1, got {chunk_size}"
         )
-    chosen = check_codec(codec) if codec is not None else default_codec()
+    _codec.require_writable(codec)
     store = ResultStore(store_path, backend=store_backend)
     summary = _PointSummary()
     merged = 0
-    point_records = 0
     try:
         writer = _BlockWriter(
             store,
@@ -631,18 +561,6 @@ def merge_shards(
             prefix,
             common,
         )
-        chunk: list[dict[str, Any]] = []
-
-        def flush_points() -> None:
-            nonlocal chunk, point_records
-            if not chunk:
-                return
-            fault_site("merge.flush")
-            with metrics().timer("merge.flush_s"):
-                store.append_many(chunk)
-            point_records += len(chunk)
-            chunk = []
-
         with span(
             "merge",
             cat="sweep",
@@ -652,44 +570,19 @@ def merge_shards(
             for payload in _iter_shard_payloads(
                 store, shard_keys, store_path
             ):
-                columns = (
-                    _payload_columns(payload)
-                    if chosen == CODEC_COLUMNAR
-                    else None
+                values, columns, points_kind = _codec.decode_payload(
+                    payload
                 )
-                if columns is not None:
-                    values, series, points_kind = columns
-                    summary.add_columns(series)
-                    merged += len(values)
-                    writer.add(values, series, points_kind)
-                    continue
-                # Per-point path: requested via codec="json", or a
-                # payload whose points will not columnise.
-                values, points = _payload_points(payload)
-                for value, point in zip(values, points):
-                    summary.add(point)
-                    merged += 1
-                    chunk.append(
-                        {
-                            "key": point_key(
-                                sweep_target, parameter, value, common
-                            ),
-                            "job_id": f"{prefix}[{value}]",
-                            "status": "ok",
-                            "value": point,
-                        }
-                    )
-                    if len(chunk) >= chunk_size:
-                        flush_points()
+                summary.add_columns(columns, points_kind)
+                merged += len(values)
+                writer.add(values, columns, points_kind)
             writer.flush()
-            flush_points()
     finally:
         store.close()
     return {
         "parameter": parameter,
         "points": merged,
         "shards": len(shard_keys),
-        "point_records": point_records,
         "block_records": writer.blocks,
         "metrics": summary.as_dict(),
     }
@@ -714,17 +607,21 @@ def sharded_sweep_campaign(
 
     Jobs ``{name}/shard0000 ... {name}/shardNNNN`` each evaluate one
     contiguous chunk of ``values`` via :func:`evaluate_shard`;
-    ``{name}/merge`` runs ``after`` all of them and streams block (or
-    per-point) records into the store at ``store_path``.  ``values``
+    ``{name}/merge`` runs ``after`` all of them and streams block
+    records into the store at ``store_path``.  ``values``
     is either an explicit sequence — chunked into the job parameters —
     or a grid descriptor mapping (:func:`grid_descriptor`), in which
     case each shard job ships only ``(descriptor, shard index, shard
     count)`` and materialises its own slice.  Run it with
     ``run_campaign(campaign, store_path=store_path, jobs=N)`` — the
     same store makes the sweep resumable and re-runs cached.
-    ``flush_chunk`` bounds the merge job's blocks/batches (default
+    ``flush_chunk`` bounds the merge job's blocks (default
     :data:`FLUSH_CHUNK`); like ``codec``, it is left out of job content
     keys when unset so existing stores keep resolving from cache.
+    ``codec="json"`` still builds the campaign (same content keys as
+    the build that wrote it), so a store written in the retired JSON
+    format stays readable; executing its jobs raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     common = dict(common or {})
     campaign = Campaign(name)
@@ -815,8 +712,8 @@ def run_sharded_sweep(
     (or streams through :func:`iter_points`, or decodes straight to
     numpy with :func:`collect_arrays`).  The campaign's cache preloads
     only the campaign's own content keys, so re-running against a
-    store already holding millions of point records never loads them
-    into memory.  ``executor`` picks the execution backend
+    store already holding many block records never loads them into
+    memory.  ``executor`` picks the execution backend
     (``"serial"``/``"pool"`` or a backend instance),
     forwarded through :func:`~repro.runner.campaign.run_campaign`.
     """
@@ -866,11 +763,10 @@ def collect_points(
     """Reassemble a sharded sweep's full ``(values, points)`` from its store.
 
     Streams shard records in shard order, so the caller gets the same
-    series a monolithic sweep would have produced — columnar payloads
-    are decoded back to exact per-point Python values, bit-identical
-    to the JSON-dict path.  Materialises the whole grid by contract;
-    use :func:`iter_points` to stream, or :func:`collect_arrays` to
-    skip per-point objects entirely.
+    series a monolithic sweep would have produced, decoded back to
+    exact per-point Python values.  Materialises the whole grid by
+    contract; use :func:`iter_points` to stream, or
+    :func:`collect_arrays` to skip per-point objects entirely.
     """
     shard_keys = _campaign_shard_keys(campaign)
     store = ResultStore(store_path, backend=store_backend)
@@ -878,7 +774,7 @@ def collect_points(
     points: list[Any] = []
     try:
         for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            shard_vals, shard_points = _payload_points(payload)
+            shard_vals, shard_points = _shard_points(payload)
             values.extend(shard_vals)
             points.extend(shard_points)
     finally:
@@ -901,7 +797,7 @@ def iter_points(
     store = ResultStore(store_path, backend=store_backend)
     try:
         for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            values, points = _payload_points(payload)
+            values, points = _shard_points(payload)
             yield from zip(values, points)
     finally:
         store.close()
@@ -954,8 +850,9 @@ def collect_arrays(
     payloads are ``np.frombuffer``-decoded and concatenated with no
     per-point Python-object hop; legacy JSON payloads are columnised
     on the fly.  Raises :class:`~repro.errors.ConfigurationError` for
-    sweeps whose points will not columnise (ragged mappings) — those
-    need :func:`collect_points`.
+    sweeps whose points will not columnise (ragged mappings, packed
+    under ``points_kind`` ``"points"``) — those need
+    :func:`collect_points`.
     """
     shard_keys = _campaign_shard_keys(campaign)
     store = ResultStore(store_path, backend=store_backend)
@@ -964,13 +861,14 @@ def collect_arrays(
     points_kind: str | None = None
     try:
         for payload in _iter_shard_payloads(store, shard_keys, store_path):
-            columns = _payload_columns(payload)
-            if columns is None:
+            shard_values, shard_columns, shard_kind = (
+                _codec.decode_payload(payload)
+            )
+            if shard_kind == KIND_POINTS:
                 raise ConfigurationError(
                     "sweep points will not columnise (ragged point "
                     "mappings?); use collect_points instead"
                 )
-            shard_values, shard_columns, shard_kind = columns
             if points_kind is None:
                 points_kind = shard_kind
                 column_segments = {name: [] for name in shard_columns}
@@ -996,6 +894,31 @@ def collect_arrays(
     )
 
 
+def _position(values: Any, value: Any) -> int | None:
+    """Index of the first grid value equal to ``value``, if any."""
+    if isinstance(values, np.ndarray):
+        hits = np.flatnonzero(values == value)
+        return int(hits[0]) if hits.size else None
+    try:
+        return values.index(value)
+    except ValueError:
+        return None
+
+
+def _point_at(columns: Mapping[str, Any], points_kind: str, index: int) -> Any:
+    """One decoded point, as exact Python values."""
+
+    def scalar(column: Any) -> Any:
+        entry = column[index]
+        return entry.item() if isinstance(entry, np.generic) else entry
+
+    if points_kind == KIND_SCALAR:
+        return scalar(columns[SCALAR_COLUMN])
+    if points_kind == KIND_POINTS:
+        return columns[POINTS_COLUMN][index]
+    return {name: scalar(column) for name, column in columns.items()}
+
+
 def lookup_point(
     store_path: str,
     campaign: Campaign,
@@ -1005,12 +928,13 @@ def lookup_point(
     """One grid point's metrics from an already-merged sweep store.
 
     Walks the sweep's columnar block records (a handful of indexed
-    ``get`` calls — block keys derive from the campaign's shard keys),
-    decodes only the block holding ``value``, and falls back to the
-    legacy per-point record under :func:`point_key` for stores merged
-    with ``codec="json"``.  Returns the point's metrics (a mapping or
-    scalar, matching the sweep target's shape) or ``None`` when the
-    value is not a merged grid point.
+    ``get`` calls — block keys derive from the campaign's shard keys)
+    and decodes only the blocks up to the one holding ``value``.  A
+    store with no block records (merged by an older build, or not
+    merged yet) is answered by scanning its shard payloads instead.
+    Returns the point's metrics (a mapping or scalar, matching the
+    sweep target's shape) or ``None`` when the value is not a grid
+    point.
     """
     shard_specs = [
         spec for spec in campaign.specs if spec.target == SHARD_TARGET
@@ -1028,39 +952,27 @@ def lookup_point(
     common = merge_params.get("common") or {}
     shard_keys = [spec.key for spec in shard_specs]
     store = ResultStore(store_path, backend=store_backend)
-    try:
+
+    def decoded() -> Iterator[tuple[Any, dict[str, Any], str]]:
         index = 0
-        while True:
-            record = store.get(
+        while (
+            record := store.get(
                 block_key(sweep_target, parameter, shard_keys, index, common)
             )
-            if record is None:
-                break
-            values, columns, points_kind = _codec.unpack_columns(
-                record["value"]
-            )
-            if isinstance(values, np.ndarray):
-                hits = np.flatnonzero(values == value)
-                position = int(hits[0]) if hits.size else None
-            else:
-                try:
-                    position = values.index(value)
-                except ValueError:
-                    position = None
-            if position is not None:
-                def scalar(column: Any) -> Any:
-                    entry = column[position]
-                    return entry.item() if isinstance(
-                        entry, np.generic
-                    ) else entry
-                if points_kind == KIND_SCALAR:
-                    return scalar(columns[SCALAR_COLUMN])
-                return {
-                    name: scalar(column)
-                    for name, column in columns.items()
-                }
+        ) is not None:
+            yield _codec.unpack_columns(record["value"])
             index += 1
-        legacy = store.get(point_key(sweep_target, parameter, value, common))
-        return legacy["value"] if legacy is not None else None
+        if index == 0:
+            for key in shard_keys:
+                record = store.get(key)
+                if record is not None:
+                    yield _codec.decode_payload(record["value"])
+
+    try:
+        for values, columns, points_kind in decoded():
+            position = _position(values, value)
+            if position is not None:
+                return _point_at(columns, points_kind, position)
+        return None
     finally:
         store.close()

@@ -53,6 +53,7 @@ from typing import Any, Mapping
 from ..errors import ConfigurationError, ReproError
 from ..faults import ACTION_DROP, fault_site
 from ..runner.campaign import Campaign, run_campaign
+from ..runner.codec import require_writable
 from ..runner.events import Event, EventBus, event_from_json, event_to_json
 from ..runner.executors import resolve_executor_kind
 from ..runner.jobs import json_safe
@@ -498,6 +499,9 @@ class CampaignServer:
                 f"'jobs' must be an integer >= 1, got {jobs!r}"
             )
         resolve_executor_kind(spec.get("executor", self.executor), jobs)
+        # A stored "json" spec still rebuilds its campaign for reading,
+        # but a new run may only write the columnar format.
+        require_writable(spec.get("codec"))
         run_id = new_service_run_id()
         run = _RunState(
             run_id=run_id,
@@ -720,9 +724,11 @@ class CampaignServer:
         """One page of a merged sweep's points (worker-thread body).
 
         Walks the sweep's columnar block records in order, decoding
-        only the blocks that overlap ``[offset, offset + limit)``;
-        falls back to :func:`~repro.runner.sharding.collect_points`
-        for stores merged with ``codec="json"`` (no block records).
+        only the blocks that overlap ``[offset, offset + limit)``.  A
+        store with no block records (a sweep merged by an older build
+        in the retired JSON format) pages from
+        :func:`~repro.runner.sharding.collect_points` instead, which
+        decodes its shard payloads.
         """
         from ..runner import codec as _codec
         from ..runner.sharding import block_key
@@ -769,7 +775,7 @@ class CampaignServer:
                         json_safe(column[lo:hi])
                     )
             if not values and done and seen == 0:
-                # No block records at all: legacy per-point store.
+                # No block records at all: a legacy JSON-format store.
                 all_values, all_points = collect_points(
                     self.store_path, campaign, self.store_backend
                 )

@@ -5,19 +5,23 @@ documented 1-ULP tolerance (in practice the tiers share every IEEE
 operation in order, so they are bit-exact too).  Grids include NaN,
 infinity, and denormal lanes, and integer columns up to 2**48 — large
 enough to stress the float guess in the saw-tooth search, small enough
-that Python-int and int64 arithmetic provably agree.
+that Python-int and int64 arithmetic provably agree.  The codec cases
+check the bytes ``runner/codec.py`` writes against a ``struct``-based
+element-by-element packer, the byte-layout oracle.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import numpy_impl, scalar
+from repro.runner.codec import pack_series, unpack_columns
 
 needs_numba = pytest.mark.skipif(
     importlib.util.find_spec("numba") is None,
@@ -127,53 +131,101 @@ class TestSawtoothParity:
         assert out[0] == 1024 * 512
 
 
+def struct_pack(column, dtype: str) -> bytes:
+    """The byte-layout oracle: one column packed element by element."""
+    code = _STRUCT_CODE[dtype]
+    cast = float if code == "d" else int
+    items = [cast(v) for v in np.asarray(column).tolist()]
+    return struct.pack(f"<{len(items)}{code}", *items)
+
+
+def struct_unpack(blob: bytes, dtype: str, count: int, offset: int):
+    """Decode ``count`` elements of ``dtype`` at ``offset``, element-wise."""
+    code = _STRUCT_CODE[dtype]
+    items = struct.unpack_from(f"<{count}{code}", blob, offset)
+    return np.array(items, dtype=dtype)
+
+
+_STRUCT_CODE = {"<f8": "d", "<i8": "q", "|u1": "B"}
+
+#: How a column reaches the codec: as a typed ndarray (the batch
+#: targets' shape) or as a list of Python scalars (per-point targets).
+SOURCES = ["numpy", "list"]
+
+
+def _pack(source, column):
+    """A payload whose one metric column ``m`` is ``column``."""
+    grid = np.arange(len(column), dtype=np.float64)
+    data = column if source == "numpy" else column.tolist()
+    return grid, pack_series(grid, {"m": data})
+
+
 class TestCodecParity:
-    @pytest.mark.parametrize("tier", OTHER_TIERS)
+    """``runner/codec.py`` writes exactly the struct oracle's bytes."""
+
+    @pytest.mark.parametrize("source", SOURCES)
     @given(values=st.lists(f8_values, min_size=0, max_size=32))
     @settings(max_examples=60, deadline=None)
-    def test_f8_roundtrip_bit_exact(self, tier, values):
+    def test_f8_roundtrip_bit_exact(self, source, values):
+        assume(values or source == "numpy")
         column = np.array(values, dtype=np.float64)
-        impl = _impl(tier)
-        blob = impl.codec_pack(column, "<f8")
-        assert blob == scalar.codec_pack(column, "<f8")
-        decoded = impl.codec_unpack(blob, "<f8", column.size, 0)
+        grid, payload = _pack(source, column)
+        assert payload["columns"][0]["dtype"] == "<f8"
+        assert payload["blob"] == (
+            struct_pack(grid, "<f8") + struct_pack(column, "<f8")
+        )
+        _, decoded, _ = unpack_columns(payload)
         # Bitwise comparison: NaN payload bits must survive verbatim.
         np.testing.assert_array_equal(
-            np.asarray(decoded).view(np.int64), column.view(np.int64)
+            decoded["m"].view(np.int64), column.view(np.int64)
         )
 
-    @pytest.mark.parametrize("tier", OTHER_TIERS)
+    @pytest.mark.parametrize("source", SOURCES)
     @given(values=st.lists(i8_values, min_size=0, max_size=32))
     @settings(max_examples=60, deadline=None)
-    def test_i8_roundtrip_bit_exact(self, tier, values):
+    def test_i8_roundtrip_bit_exact(self, source, values):
+        assume(values or source == "numpy")
         column = np.array(values, dtype=np.int64)
-        impl = _impl(tier)
-        blob = impl.codec_pack(column, "<i8")
-        assert blob == scalar.codec_pack(column, "<i8")
-        decoded = impl.codec_unpack(blob, "<i8", column.size, 0)
-        np.testing.assert_array_equal(np.asarray(decoded), column)
+        grid, payload = _pack(source, column)
+        assert payload["columns"][0]["dtype"] == "<i8"
+        assert payload["blob"] == (
+            struct_pack(grid, "<f8") + struct_pack(column, "<i8")
+        )
+        _, decoded, _ = unpack_columns(payload)
+        np.testing.assert_array_equal(decoded["m"], column)
 
-    @pytest.mark.parametrize("tier", OTHER_TIERS)
+    @pytest.mark.parametrize("source", SOURCES)
     @given(
         values=st.lists(
-            st.integers(min_value=0, max_value=255), min_size=0, max_size=64
+            st.integers(min_value=0, max_value=254), min_size=0, max_size=64
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_u1_roundtrip_bit_exact(self, tier, values):
-        column = np.array(values, dtype=np.uint8)
-        impl = _impl(tier)
-        blob = impl.codec_pack(column, "|u1")
-        assert blob == scalar.codec_pack(column, "|u1")
-        decoded = impl.codec_unpack(blob, "|u1", column.size, 0)
-        np.testing.assert_array_equal(np.asarray(decoded), column)
+    def test_u1_roundtrip_bit_exact(self, source, values):
+        """Category columns store one code byte per value."""
+        assume(values or source == "numpy")
+        labels = np.array([f"c{v}" for v in values], dtype=str)
+        grid, payload = _pack(source, labels)
+        descriptor = payload["columns"][0]
+        assert descriptor["dtype"] == "|u1"
+        codes = [descriptor["categories"].index(label) for label in labels]
+        assert payload["blob"] == (
+            struct_pack(grid, "<f8") + struct_pack(codes, "|u1")
+        )
+        _, decoded, _ = unpack_columns(payload)
+        assert decoded["m"].tolist() == labels.tolist()
 
-    @pytest.mark.parametrize("tier", OTHER_TIERS)
-    def test_unpack_respects_offset(self, tier):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_unpack_respects_offset(self, source):
         column = np.array([1.5, -2.5, 3.5], dtype=np.float64)
-        blob = b"\x00" * 16 + scalar.codec_pack(column, "<f8")
-        decoded = _impl(tier).codec_unpack(blob, "<f8", 3, 16)
-        np.testing.assert_array_equal(np.asarray(decoded), column)
+        grid, payload = _pack(source, column)
+        blob = payload["blob"]
+        # The metric column starts right after the 3-value grid column.
+        np.testing.assert_array_equal(
+            struct_unpack(blob, "<f8", 3, 24), column
+        )
+        _, decoded, _ = unpack_columns(payload)
+        np.testing.assert_array_equal(decoded["m"], column)
 
 
 class TestCallSiteParity:

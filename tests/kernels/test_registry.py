@@ -96,24 +96,28 @@ class TestDispatch:
     def test_dispatch_meters_calls_ns_and_tier(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV_VAR, "numpy")
         reset_kernels()
-        dispatch("codec_pack", np.array([1.0, 2.0]), "<f8")
+        dispatch(
+            "sawtooth_best_user_bits",
+            np.array([4096], dtype=np.int64), 64, 3, 1, 8,
+        )
         snapshot = metrics().snapshot()
         counters = snapshot["counters"]
-        assert counters["kernel.codec_pack.calls"] == 1.0
-        assert counters["kernel.codec_pack.ns"] > 0.0
+        assert counters["kernel.sawtooth_best_user_bits.calls"] == 1.0
+        assert counters["kernel.sawtooth_best_user_bits.ns"] > 0.0
         assert snapshot["gauges"]["kernel.tier"] == 1.0
 
     def test_scalar_tier_gauge_code(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV_VAR, "scalar")
         reset_kernels()
-        dispatch("codec_pack", np.array([1]), "<i8")
+        dispatch(
+            "sawtooth_best_user_bits",
+            np.array([4096], dtype=np.int64), 64, 3, 1, 8,
+        )
         assert metrics().snapshot()["gauges"]["kernel.tier"] == 0.0
 
-    def test_all_four_kernels_registered_on_both_base_tiers(self):
+    def test_every_kernel_registered_on_both_base_tiers(self):
         registry = default_registry()
         assert registry.names() == [
-            "codec_pack",
-            "codec_unpack",
             "energy_wall_bisect",
             "sawtooth_best_user_bits",
         ]
@@ -167,8 +171,6 @@ class TestKernelInfo:
         assert info["cache_files"] == 1
         assert info["cache_bytes"] == 10
         assert set(info["kernels"]) == {
-            "codec_pack",
-            "codec_unpack",
             "energy_wall_bisect",
             "sawtooth_best_user_bits",
         }

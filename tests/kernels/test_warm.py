@@ -42,8 +42,6 @@ class TestWarmKernels:
         for name in (
             "energy_wall_bisect",
             "sawtooth_best_user_bits",
-            "codec_pack",
-            "codec_unpack",
         ):
             assert counters[f"kernel.{name}.calls"] >= 1.0
 

@@ -86,3 +86,10 @@ def infeasible_above_two(x):
     if x > 2:
         raise InfeasibleDesignError("too big")
     return float(x)
+
+
+def ragged_point(x):
+    """Scalar sweep target whose mappings differ in keys (no columns)."""
+    if int(x) % 2:
+        return {"x": float(x), "odd": True}
+    return {"x": float(x)}

@@ -293,7 +293,7 @@ class TestCampaignCachePreload:
             campaign, store_path=store_path, cache_preload="specs"
         )
         assert rerun.status_counts() == {"cached": 5}
-        # Only the campaign's own keys were warmed, not the 20 point
+        # Only the campaign's own keys were warmed, not the block
         # records the merge filed.
         assert rerun.cache_stats["size"] == 5
 

@@ -1,18 +1,20 @@
-"""Columnar codec tests: round-trip parity, backends, migration, resume.
+"""Columnar codec tests: round trips, backends, migration, resume.
 
-The codec's contract is *bit-exact equivalence* with the JSON-dict
-path: whatever a sweep stores through binary column blocks must decode
-back to the same Python values — same types, same mapping key order,
-NaN/inf included — that the legacy per-point pipeline would have
-produced.  These tests drive that contract property-based (hypothesis
-generates adversarial column mixes), through both persistence
-backends, across store migration, and through a crash-resumed
-columnar merge.
+The codec's contract is a *bit-exact round trip*: whatever a sweep
+stores through binary column blocks must decode back to the same
+Python values — same types, same mapping key order, NaN/inf included
+— that went in.  These tests drive that contract property-based
+(hypothesis generates adversarial column mixes), through both
+persistence backends, across store migration, and through a
+crash-resumed columnar merge.  Stores written in the retired
+per-point JSON format are covered by ``test_legacy_store.py``.
 """
 
 from __future__ import annotations
 
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.runner.jobs import json_safe
 from repro.runner import (
     Campaign,
     ResultStore,
@@ -31,6 +34,7 @@ from repro.runner import (
     sharded_sweep_campaign,
 )
 from repro.runner.codec import (
+    KIND_POINTS,
     STORAGE_FORMAT,
     extract_blob,
     inject_blob,
@@ -46,6 +50,9 @@ from repro.runner.codec import (
 from repro.runner.sharding import merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
+LEGACY_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / (
+    "legacy_json_sweep.jsonl"
+)
 TARGET_DSPACE = "repro.core.batch:evaluate_rate_grid"
 
 
@@ -58,21 +65,13 @@ def same_value(a, b) -> bool:
     return a == b
 
 
-def same_points(left, right, ordered: bool = True) -> bool:
-    """Point-list equality oracle.
-
-    ``ordered=True`` (pack/unpack round trips) also requires mapping
-    key order to survive; cross-pipeline comparisons pass
-    ``ordered=False`` because the JSON path's ``sort_keys`` store
-    encoding never preserved key order in the first place.
-    """
+def same_points(left, right) -> bool:
+    """Point-list equality oracle; mapping key order must survive too."""
     if len(left) != len(right):
         return False
     for a, b in zip(left, right):
         if isinstance(a, dict) and isinstance(b, dict):
-            if ordered and list(a) != list(b):
-                return False
-            if set(a) != set(b):
+            if list(a) != list(b):
                 return False
             if not all(same_value(a[k], b[k]) for k in a):
                 return False
@@ -175,10 +174,44 @@ class TestRoundTrip:
         assert out[1]["m"] == math.inf
         assert out[2]["m"] == -math.inf
 
-    def test_ragged_mappings_refuse_to_columnise(self):
-        assert pack_points([1.0, 2.0], [{"a": 1}, {"b": 2}]) is None
-        assert pack_points([1.0, 2.0], [{"a": 1}, 3.0]) is None
-        assert pack_points([1.0], [[1, 2]]) is None
+    def test_ragged_mappings_refuse_to_columnise(self, tmp_path):
+        """Ragged points pack as one inline-JSON column and come back."""
+        for values, points in (
+            ([1.0, 2.0], [{"a": 1}, {"b": 2}]),
+            ([1.0, 2.0], [{"a": 1}, 3.0]),
+            ([1.0], [[1, 2]]),
+            ([1.0, 2.0], [None, {"a": math.inf}]),
+        ):
+            payload = pack_points(values, points)
+            assert is_columnar(payload)
+            assert payload["points_kind"] == KIND_POINTS
+            assert [c["dtype"] for c in payload["columns"]] == ["json"]
+            out_values, _, kind = unpack_columns(payload)
+            assert kind == KIND_POINTS
+            assert out_values.tolist() == values
+            assert unpack_points(payload) == (values, json_safe(points))
+
+        # A ragged sweep merges point by point: its summary is the one
+        # the per-point merge of earlier builds reported.
+        path = str(tmp_path / "ragged.jsonl")
+        grid = [1.0, 2.0, 3.0, 4.0, 5.0, -2.5, 0.5]
+        campaign = sharded_sweep_campaign(
+            "rag", "runner_workers:ragged_point", "x", grid,
+            store_path=path, shards=3, batch=False,
+        )
+        result = run_campaign(campaign, store_path=path)
+        assert result.ok
+        summary = result.results["rag/merge"].value
+        assert summary["points"] == 7
+        assert summary["metrics"] == {
+            "x": {"finite": 7, "min": -2.5, "max": 5.0}
+        }
+        values, points = collect_points(path, campaign)
+        assert values == grid
+        assert points[0] == {"x": 1.0, "odd": True}
+        assert points[1] == {"x": 2.0}
+        with pytest.raises(ConfigurationError, match="will not columnise"):
+            collect_arrays(path, campaign)
 
     def test_unknown_storage_format_fails_loudly(self):
         payload = pack_points([1.0], [2.0])
@@ -288,7 +321,7 @@ class TestBytesAcrossBackends:
 
 
 class TestMigration:
-    def _sweep_store(self, path, backend=None, codec=None):
+    def _sweep_store(self, path, backend=None):
         campaign = sharded_sweep_campaign(
             "sweep",
             TARGET_DSPACE,
@@ -296,7 +329,6 @@ class TestMigration:
             GRID,
             store_path=str(path),
             shards=4,
-            codec=codec,
         )
         result = run_campaign(
             campaign, store_path=str(path), store_backend=backend
@@ -326,62 +358,27 @@ class TestMigration:
         assert point == points[3]
 
     def test_mixed_payload_kind_store_migrates(self, tmp_path):
-        """json-codec point records and columnar blocks coexist."""
-        path = tmp_path / "mixed.sqlite"
-        self._sweep_store(path, codec="json")
-        self._sweep_store(path, codec=None)  # columnar on top
-        dst = tmp_path / "mixed.jsonl"
-        migrated = migrate_store(path, dst, dst_backend="jsonl")
+        """Legacy JSON point records and columnar blocks coexist."""
+        path = tmp_path / "mixed.jsonl"
+        shutil.copyfile(LEGACY_FIXTURE, path)
+        self._sweep_store(path)  # columnar on top
+        store = ResultStore(path)
+        kinds = {payload_kind(record) for record in store.iter_records()}
+        store.close()
+        assert {"shard-json", "point", "columnar-block"} <= kinds
+        dst = tmp_path / "mixed.sqlite"
+        migrated = migrate_store(path, dst)
         assert migrated == len(ResultStore(path).load())
         assert ResultStore(dst).load() == ResultStore(path).load()
 
 
 class TestColumnarParity:
-    def test_columnar_vs_json_pipeline_identical(self, tmp_path):
-        """Same grid, both codecs: identical points, arrays, summary."""
-        stores = {}
-        summaries = {}
-        for codec in ("columnar", "json"):
-            path = str(tmp_path / f"{codec}.sqlite")
-            campaign = sharded_sweep_campaign(
-                "sweep",
-                TARGET_DSPACE,
-                "rate_bps",
-                GRID,
-                store_path=path,
-                shards=4,
-                codec=codec,
-            )
-            result = run_campaign(campaign, store_path=path)
-            assert result.ok
-            summaries[codec] = result.results["sweep/merge"].value
-            stores[codec] = collect_points(path, campaign)
-            if codec == "columnar":
-                columns = collect_arrays(path, campaign)
-        v_col, p_col = stores["columnar"]
-        v_json, p_json = stores["json"]
-        assert same_points(v_col, v_json)
-        assert same_points(p_col, p_json, ordered=False)
-        assert summaries["columnar"]["metrics"] == (
-            summaries["json"]["metrics"]
-        )
-        # And the array view agrees with the per-point view bit for bit.
-        assert np.asarray(columns.values).tolist() == v_col
-        assert columns.columns["required_buffer_bits"].tolist() == [
-            p["required_buffer_bits"] for p in p_col
-        ]
-        assert columns.columns["dominant"].tolist() == [
-            p["dominant"] for p in p_col
-        ]
-
-    def test_pre_codec_store_still_reads_and_merges(
-        self, tmp_path, monkeypatch
-    ):
+    def test_pre_codec_store_still_reads_and_merges(self, tmp_path):
         """A store whose shards predate the codec merges columnar."""
+        from repro.core.batch import evaluate_rate_grid
+        from repro.runner.sharding import shard_grid
+
         path = str(tmp_path / "old.sqlite")
-        # Write shard payloads in the legacy JSON-dict format under the
-        # DEFAULT content keys (what a pre-codec build produced).
-        monkeypatch.setenv("REPRO_POINT_CODEC", "json")
         campaign = sharded_sweep_campaign(
             "sweep",
             TARGET_DSPACE,
@@ -390,9 +387,28 @@ class TestColumnarParity:
             store_path=path,
             shards=4,
         )
-        shards_only = Campaign("old", specs=list(campaign.specs[:-1]))
-        assert run_campaign(shards_only, store_path=path).ok
-        monkeypatch.delenv("REPRO_POINT_CODEC")
+        # Shard payloads in the legacy per-point JSON format under the
+        # DEFAULT content keys: what a pre-codec build produced.
+        store = ResultStore(path)
+        for spec, chunk in zip(campaign.specs[:-1], shard_grid(GRID, 4)):
+            series = evaluate_rate_grid(chunk)
+            points = [
+                {name: series[name][i].item() for name in series}
+                for i in range(len(chunk))
+            ]
+            store.append(
+                {
+                    "key": spec.key,
+                    "job_id": spec.job_id,
+                    "status": "ok",
+                    "value": {
+                        "parameter": "rate_bps",
+                        "values": chunk,
+                        "points": json_safe(points),
+                    },
+                }
+            )
+        store.close()
 
         # A current build merges those legacy payloads into columnar
         # blocks, and every reader still answers identically.
@@ -400,7 +416,6 @@ class TestColumnarParity:
         summary = merge_shards(**merge.params_dict())
         assert summary["points"] == len(GRID)
         assert summary["block_records"] >= 1
-        assert summary["point_records"] == 0
         values, points = collect_points(path, campaign)
         assert values == GRID
         columns = collect_arrays(path, campaign)

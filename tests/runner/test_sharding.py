@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +20,28 @@ from repro.runner import (
     shard_grid,
     sharded_sweep_campaign,
 )
-from repro.runner.codec import is_columnar, unpack_points
-from repro.runner.sharding import evaluate_shard, grid_descriptor, point_key
-
-
-def _payload_points(payload):
-    """(values, points) of a shard payload in either codec."""
-    if is_columnar(payload):
-        return unpack_points(payload)
-    return payload["values"], payload["points"]
+from repro.runner.codec import (
+    columns_to_points,
+    decode_payload,
+    is_columnar,
+    payload_kind,
+    unpack_columns,
+    unpack_points,
+)
+from repro.runner.sharding import evaluate_shard, grid_descriptor, merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET_SCALAR = "runner_workers:break_even_kb"
 TARGET_BATCH = "repro.core.batch:break_even_curve"
 TARGET_DSPACE = "repro.core.batch:evaluate_rate_grid"
+#: A sweep store written in the retired per-point JSON format (see
+#: ``test_legacy_store.py``) and the key of its first shard record.
+LEGACY_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / (
+    "legacy_json_sweep.jsonl"
+)
+LEGACY_SHARD_KEY = (
+    "1230f2b946f69d1fd9bd4f6ba7ddb7839333a771927d00bee7f68105766b935e"
+)
 
 
 class TestShardGrid:
@@ -67,7 +76,7 @@ class TestShardGrid:
 
 
 class TestEvaluateShard:
-    @pytest.mark.parametrize("codec", ["columnar", "json"])
+    @pytest.mark.parametrize("codec", ["columnar", None])
     def test_scalar_and_batch_targets_agree(self, codec):
         scalar = evaluate_shard(
             TARGET_SCALAR, "rate_bps", GRID[:5], batch=False, codec=codec
@@ -75,42 +84,50 @@ class TestEvaluateShard:
         batch = evaluate_shard(
             TARGET_BATCH, "rate_bps", GRID[:5], batch=True, codec=codec
         )
-        assert is_columnar(batch) == (codec == "columnar")
-        scalar_values, scalar_points = _payload_points(scalar)
-        batch_values, batch_points = _payload_points(batch)
+        assert is_columnar(scalar) and is_columnar(batch)
+        scalar_values, scalar_points = unpack_points(scalar)
+        batch_values, batch_points = unpack_points(batch)
         assert scalar_values == batch_values == GRID[:5]
         # break_even_curve reports bits, break_even_kb kilobytes.
         scaled = [p["break_even_bits"] / 8000.0 for p in batch_points]
         assert scaled == pytest.approx(scalar_points, rel=1e-12)
 
     def test_codec_paths_bit_identical(self):
+        """A legacy JSON shard payload decodes to what columnar writes."""
+        store = ResultStore(str(LEGACY_FIXTURE))
+        legacy = store.get(LEGACY_SHARD_KEY)["value"]
+        store.close()
+        assert not is_columnar(legacy)
         columnar = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", GRID[:7], codec="columnar"
+            TARGET_DSPACE, "rate_bps", legacy["values"]
         )
-        legacy = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", GRID[:7], codec="json"
+        assert is_columnar(columnar)
+        assert unpack_points(columnar) == columns_to_points(
+            *decode_payload(legacy)
         )
-        assert is_columnar(columnar) and not is_columnar(legacy)
-        assert _payload_points(columnar) == (
-            legacy["values"], legacy["points"]
-        )
+        values, columns, kind = decode_payload(legacy)
+        _, packed, packed_kind = unpack_columns(columnar)
+        assert kind == packed_kind
+        for name, column in packed.items():
+            assert columns[name].dtype == column.dtype
+            assert columns[name].tobytes() == column.tobytes()
 
-    def test_json_codec_grid_shard_stores_values(self):
-        """A descriptor shard's ndarray values store as plain floats."""
-        grid = grid_descriptor("geomspace", 32e3, 4096e3, 9)
-        legacy = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", grid=grid, shard_index=1,
-            shard_count=2, codec="json",
+    def test_json_codec_is_read_only(self, tmp_path):
+        """The retired codec builds campaigns but never writes points."""
+        for codec in ("json", "nope"):
+            with pytest.raises(ConfigurationError):
+                evaluate_shard(TARGET_DSPACE, "rate_bps", GRID[:3], codec=codec)
+        campaign = sharded_sweep_campaign(
+            "sweep",
+            TARGET_DSPACE,
+            "rate_bps",
+            GRID,
+            store_path=str(tmp_path / "s.jsonl"),
+            shards=2,
+            codec="json",
         )
-        columnar = evaluate_shard(
-            TARGET_DSPACE, "rate_bps", grid=grid, shard_index=1,
-            shard_count=2, codec="columnar",
-        )
-        assert all(type(v) is float for v in legacy["values"])
-        assert all(type(p["feasible"]) is bool for p in legacy["points"])
-        assert _payload_points(columnar) == (
-            legacy["values"], legacy["points"]
-        )
+        with pytest.raises(ConfigurationError):
+            merge_shards(**campaign.specs[-1].params_dict())
 
     def test_batch_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -132,29 +149,19 @@ class TestEvaluateShard:
             for column in payload["columns"]
         }
         assert dtypes == {"double": "<f8", "index": "<i8"}
-        _, points = _payload_points(payload)
+        _, points = unpack_points(payload)
         assert points == [
             {"double": 2.0, "index": 0},
             {"double": 4.0, "index": 1},
             {"double": 6.0, "index": 2},
         ]
         assert all(type(p["index"]) is int for p in points)
-        # The legacy codec degrades arrays to plain Python scalars too.
-        legacy = evaluate_shard(
-            "runner_workers:array_curve", "values", [1.0, 2.0],
-            codec="json",
-        )
-        assert legacy["points"] == [
-            {"double": 2.0, "index": 0},
-            {"double": 4.0, "index": 1},
-        ]
-        assert all(type(p["index"]) is int for p in legacy["points"])
 
     def test_per_point_infeasibility_is_inf(self):
         result = evaluate_shard(
             "runner_workers:infeasible_above_two", "x", [1, 2, 3], batch=False
         )
-        _, points = _payload_points(result)
+        _, points = unpack_points(result)
         assert points == [1.0, 2.0, math.inf]
 
     def test_values_or_grid_exactly_one(self):
@@ -205,9 +212,9 @@ class TestShardedSweepCampaign:
         summary = result.results["sweep/merge"].value
         assert summary["points"] == len(GRID)
         assert summary["shards"] == 4
-        # The columnar merge files compact block records, not one JSON
-        # record per point.
-        assert summary["point_records"] == 0
+        # The merge files compact block records, not one record per
+        # point.
+        assert "point_records" not in summary
         assert summary["block_records"] >= 1
         assert summary["metrics"]["required_buffer_bits"]["finite"] > 0
 
@@ -223,7 +230,7 @@ class TestShardedSweepCampaign:
         ].tolist()
         assert [p["dominant"] for p in points] == whole["dominant"].tolist()
 
-    @pytest.mark.parametrize("codec", ["columnar", "json"])
+    @pytest.mark.parametrize("codec", ["columnar", None])
     def test_summary_reports_point_counts(self, tmp_path, codec):
         store_path = str(tmp_path / "s.jsonl")
         campaign = self._campaign(store_path, codec=codec)
@@ -305,26 +312,31 @@ class TestShardedSweepCampaign:
             point["required_buffer_bits"]
         ]
 
-    def test_point_records_queryable_with_json_codec(self, tmp_path):
-        """codec="json" keeps the legacy per-point query surface."""
-        store_path = str(tmp_path / "s.sqlite")
-        run_sharded_sweep(
-            "sweep",
+    def test_point_records_queryable_with_json_codec(self):
+        """A store written with codec="json" still answers lookups."""
+        store = ResultStore(str(LEGACY_FIXTURE))
+        records = [
+            record
+            for record in store.iter_records()
+            if payload_kind(record) == "point"
+        ]
+        store.close()
+        assert len(records) == 12
+        campaign = sharded_sweep_campaign(
+            "legacy",
             TARGET_DSPACE,
             "rate_bps",
-            GRID,
-            store_path=store_path,
-            shards=4,
+            grid_descriptor("geomspace", 1e3, 1e8, 12),
+            store_path="legacy.jsonl",
+            shards=2,
             codec="json",
         )
-        store = ResultStore(store_path)
-        record = store.get(point_key(TARGET_DSPACE, "rate_bps", GRID[7]))
-        store.close()
-        assert record is not None
-        assert record["value"]["dominant"] in ("E", "C", "Lsp", "Lpb", "lat")
-        # lookup_point falls back to per-point records transparently.
-        campaign = self._campaign(store_path, codec="json")
-        assert lookup_point(store_path, campaign, GRID[7]) == record["value"]
+        for record in records:
+            value = float(record["job_id"][len("legacy[") : -1])
+            assert (
+                lookup_point(str(LEGACY_FIXTURE), campaign, value)
+                == record["value"]
+            )
 
     def test_grid_descriptor_matches_explicit_values(self, tmp_path):
         """Descriptor sweeps ship O(1) job params, same values exactly."""
@@ -399,8 +411,6 @@ class TestShardedSweepCampaign:
         )
 
     def test_merge_without_shard_record_fails_loudly(self, tmp_path):
-        from repro.runner.sharding import merge_shards
-
         with pytest.raises(ConfigurationError):
             merge_shards(
                 store_path=str(tmp_path / "empty.jsonl"),

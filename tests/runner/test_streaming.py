@@ -1,7 +1,7 @@
 """Memory-bounded streaming paths: merge chunks, lazy reads, resume.
 
-The PR contract under test: the sweep -> merge -> cache pipeline never
-materialises a full grid — shard payloads decode one at a time, point
+The contract under test: the sweep -> merge -> cache pipeline never
+materialises a full grid — shard payloads decode one at a time, block
 records flush through bounded ``append_many`` chunks, the latest-per-key
 view streams off both backends, and an interrupted (even *crashed*)
 merge resumes from per-shard cache without recomputing shards.
@@ -19,11 +19,13 @@ from repro.runner import (
     ResultStore,
     collect_points,
     iter_points,
+    lookup_point,
     run_campaign,
     sharded_sweep_campaign,
 )
 from repro.runner.backends import JsonlBackend, SqliteBackend
-from repro.runner.sharding import merge_shards, point_key
+from repro.runner.codec import payload_kind
+from repro.runner.sharding import merge_shards
 
 GRID = [float(v) for v in range(32_000, 32_000 + 40)]
 TARGET = "repro.core.batch:break_even_curve"
@@ -52,25 +54,42 @@ def _run_shards_only(store_path, **kwargs):
 
 class TestBoundedChunks:
     def test_flush_chunk_bounds_append_batches(self, tmp_path, monkeypatch):
-        """codec="json": per-point records flush in bounded batches."""
+        """Points that will not columnise flush in bounded blocks too."""
         store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path, codec="json")
+        full = sharded_sweep_campaign(
+            "ragged",
+            "runner_workers:ragged_point",
+            "x",
+            GRID,
+            store_path=str(store_path),
+            shards=4,
+            batch=False,
+        )
+        shards_only = Campaign("shards-only", specs=list(full.specs[:-1]))
+        assert run_campaign(shards_only, store_path=str(store_path)).ok
         merge = full.specs[-1]
 
-        batch_sizes = []
+        batch_points = []
         original = ResultStore.append_many
 
         def recording(self, records):
-            batch_sizes.append(len(records))
+            batch_points.append(sum(r["value"]["count"] for r in records))
             return original(self, records)
 
         monkeypatch.setattr(ResultStore, "append_many", recording)
         summary = merge_shards(flush_chunk=7, **merge.params_dict())
         assert summary["points"] == len(GRID)
-        assert summary["point_records"] == len(GRID)
-        assert summary["block_records"] == 0
-        assert sum(batch_sizes) == len(GRID)
-        assert max(batch_sizes) <= 7
+        assert summary["block_records"] == len(batch_points)
+        assert sum(batch_points) == len(GRID)
+        assert max(batch_points) <= 7
+        # Folded point by point: only "x" is numeric in every point.
+        assert summary["metrics"] == {
+            "x": {"finite": len(GRID), "min": GRID[0], "max": GRID[-1]}
+        }
+        assert lookup_point(str(store_path), full, GRID[1]) == {
+            "x": GRID[1],
+            "odd": True,
+        }
 
     def test_flush_chunk_bounds_columnar_blocks(self, tmp_path, monkeypatch):
         """Columnar merges emit one block record per flush_chunk points."""
@@ -89,7 +108,6 @@ class TestBoundedChunks:
         monkeypatch.setattr(ResultStore, "append_many", recording)
         summary = merge_shards(flush_chunk=7, **merge.params_dict())
         assert summary["points"] == len(GRID)
-        assert summary["point_records"] == 0
         assert summary["block_records"] == len(block_points)
         assert sum(block_points) == len(GRID)
         assert max(block_points) <= 7
@@ -117,10 +135,10 @@ class TestCrashMidMerge:
     ):
         """A merge killed mid-flush re-runs without recomputing shards."""
         store_path = tmp_path / "s.sqlite"
-        full = _run_shards_only(store_path, codec="json")
+        full = _run_shards_only(store_path)
         merge = full.specs[-1]
 
-        # Simulated crash: the store dies after the first point flush.
+        # Simulated crash: the store dies after the first block flush.
         flushes = {"count": 0}
         original = ResultStore.append_many
 
@@ -135,28 +153,26 @@ class TestCrashMidMerge:
             merge_shards(flush_chunk=10, **merge.params_dict())
         monkeypatch.setattr(ResultStore, "append_many", original)
 
-        # The store now holds a partial point-record prefix...
+        # The store now holds a partial block prefix...
         store = ResultStore(str(store_path))
         partial = sum(
             1
             for record in store.iter_records()
-            if record.get("job_id", "").startswith("sweep[")
+            if payload_kind(record) == "columnar-block"
         )
         store.close()
-        assert 0 < partial < len(GRID)
+        assert 0 < partial < len(GRID) // 10
 
         # ...and the campaign re-run resolves every shard from cache,
-        # re-running only the merge; duplicated point records are
+        # re-running only the merge; duplicated block records are
         # harmless under latest-wins semantics.
         resumed = run_campaign(full, store_path=str(store_path))
         assert resumed.status_counts() == {"cached": 4, "ok": 1}
         assert resumed.results["sweep/merge"].value["points"] == len(GRID)
-        store = ResultStore(str(store_path))
         for value in (GRID[0], GRID[17], GRID[-1]):
-            record = store.get(point_key(TARGET, "rate_bps", value))
-            assert record is not None
-            assert record["value"]["break_even_bits"] > 0
-        store.close()
+            point = lookup_point(str(store_path), full, value)
+            assert point is not None
+            assert point["break_even_bits"] > 0
 
 
 class TestIterPoints:

@@ -381,6 +381,19 @@ class TestRouting:
             assert excinfo.value.status == 400, extra
         assert client.runs() == []  # nothing was ever admitted
 
+    def test_non_columnar_codec_fails_the_post(self, client):
+        # "json" still names a readable stored format, but a new run
+        # may only write columnar points.
+        for codec in ("json", "nope", 3):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request(
+                    "POST", "/campaigns", body=sweep_spec(codec=codec)
+                )
+            assert excinfo.value.status == 400, codec
+        assert client.runs() == []  # nothing was ever admitted
+        run_id = client.submit(sweep_spec(name="col", codec="columnar"))
+        assert wait_terminal(client, run_id)["state"] == STATE_DONE
+
     def test_ws_watch_of_unknown_run_raises_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             list(client.watch_lines("never-submitted"))

@@ -301,6 +301,21 @@ class TestSweepCommand:
         assert "25 points over 4 shards" in out
         assert "break_even_bits" in out
 
+    def test_sweep_has_no_codec_option(self, capsys, tmp_path):
+        """Columnar is the only write format; there is nothing to pick."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--help"])
+        assert excinfo.value.code == 0
+        assert "--codec" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", self.TARGET,
+                "--parameter", "rate_bps",
+                "--values", "32000",
+                "--store", str(tmp_path / "s.jsonl"), "--codec", "json",
+            ])
+        assert excinfo.value.code == 2
+
     def test_rerun_resolves_from_cache(self, capsys, tmp_path):
         store = str(tmp_path / "sweep.jsonl")
         argv = [
@@ -363,7 +378,6 @@ class TestKernelsCli:
         assert "native tier" in out
         assert "energy_wall_bisect" in out
         assert "sawtooth_best_user_bits" in out
-        assert "codec_pack" in out
 
     def test_info_respects_forced_tier(self, capsys, monkeypatch):
         from repro.kernels import KERNELS_ENV_VAR, reset_kernels
